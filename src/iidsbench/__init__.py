@@ -13,7 +13,6 @@ from .dataset import (
     AttackTaxonomy,
     Dataset,
     FeatureSchema,
-    LabeledRecord,
     StatsSummary,
     SyntheticConfig,
     builtin_taxonomy,
@@ -69,7 +68,6 @@ __all__ = [
     "GroupRecallRow",
     "HarnessError",
     "HeatmapSpec",
-    "LabeledRecord",
     "MetricsMatrix",
     "ReportError",
     "RunArtifact",

@@ -138,14 +138,13 @@ def predict_dataset(
     return labels_from_scores(scores), scores
 
 
-def predict(model: TrainedModel, records) -> list[Prediction]:
-    """Score stand-alone rows. The given sequence is treated as its own
-    capture order for windowing. Accepts LabeledRecords or feature rows.
+def predict(model: TrainedModel, rows) -> list[Prediction]:
+    """Score stand-alone feature rows. The given rows are treated as their
+    own capture order for windowing.
     """
-    rows = [getattr(r, "features", r) for r in records]
     X = np.asarray(rows, dtype=np.float64)
     if X.ndim != 2:
-        raise ValueError("records must share one feature arity")
+        raise ValueError("rows must share one feature arity")
     scores = _score_matrix(model, transform(model.preprocessor, X))
     return [
         Prediction(label=MALICIOUS if flag else BENIGN_LABEL, score=float(score))

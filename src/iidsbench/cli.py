@@ -29,7 +29,6 @@ from .dataset import (
 from .errors import ConfigError, DatasetError, HarnessError, TaxonomyError
 from .fileio import atomic_write_text, read_json
 from .report import (
-    HeatmapSpec,
     matrix_to_csv,
     precision_report,
     precision_report_csv,
@@ -65,7 +64,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if findings:
         print(f"{len(findings)} finding(s)", file=sys.stderr)
         return 1
-    print(f"ok: {len(dataset.records)} records, no findings")
+    print(f"ok: {len(dataset)} records, no findings")
     return 0
 
 
@@ -95,7 +94,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         out = Path(args.out)
         taxonomy_out = out.with_name(out.stem + ".taxonomy.csv")
     atomic_write_text(taxonomy_out, taxonomy_to_csv(dataset.taxonomy))
-    print(f"wrote {len(dataset.records)} records to {args.out}")
+    print(f"wrote {len(dataset)} records to {args.out}")
     print(f"wrote taxonomy to {taxonomy_out}")
     return 0
 
@@ -148,27 +147,20 @@ def _matrix_filename(m, ext: str) -> str:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     artifact = runner.load_artifact(args.dir)
-    render, ext = _REPORT_RENDERERS[args.format]
-    spec = HeatmapSpec(output=args.format)
     if args.out is None:
         if args.format != "text":
             print("error: --out is required for csv and svg output", file=sys.stderr)
             return 2
         for m in artifact.matrices:
             print(f"# {m.classifier} / {m.mode} / {m.level}")
-            print(render_text_heatmap(m, spec))
+            print(render_text_heatmap(m))
         return 0
+    render, ext = _REPORT_RENDERERS[args.format]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for m in artifact.matrices:
-        if args.format == "text":
-            body = render_text_heatmap(m, spec)
-        elif args.format == "svg":
-            body = render_svg_heatmap(m, spec)
-        else:
-            body = matrix_to_csv(m)
         path = out_dir / _matrix_filename(m, ext)
-        atomic_write_text(path, body)
+        atomic_write_text(path, render(m))
         print(f"wrote {path}")
     if args.format == "csv":
         path = out_dir / "precision.csv"

@@ -1,9 +1,10 @@
 """Labeled ICS traffic datasets and the two-level attack taxonomy.
 
-A dataset is an ordered sequence of labeled feature rows. Order is capture
-order and is load-bearing: windowed classifiers consume rows relative to
-it. Each record carries an attack_type id, 0 meaning benign; nonzero ids
-resolve through an AttackTaxonomy to a coarser category id.
+A dataset is a float64 feature matrix with one row per record and an int64
+vector of attack_type ids, one per row. Row order is capture order and is
+load-bearing: windowed classifiers consume rows relative to it. Attack type
+0 means benign; nonzero ids resolve through an AttackTaxonomy to a coarser
+category id.
 
 The module covers four jobs: parsing/writing the CSV exchange format,
 validating invariants, summarizing label composition, and generating
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,7 +44,7 @@ LEVELS = (LEVEL_ATTACK, LEVEL_CATEGORY)
 
 
 # ---------------------------------------------------------------------------
-# Schema and records
+# Schema
 
 
 @dataclass(frozen=True)
@@ -94,17 +96,6 @@ class FeatureSchema:
             else:
                 out.append(0)
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class LabeledRecord:
-    index: int
-    features: tuple[float, ...]
-    attack_type: int
-
-    @property
-    def is_malicious(self) -> bool:
-        return self.attack_type != BENIGN
 
 
 # ---------------------------------------------------------------------------
@@ -285,74 +276,62 @@ def taxonomy_to_csv(tax: AttackTaxonomy) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
+    """Records in capture order: row i of `features` (n x F, float64) is
+    labeled by `attack_types[i]` (int64).
+    """
+
     schema: FeatureSchema
-    records: tuple[LabeledRecord, ...]
+    features: np.ndarray
+    attack_types: np.ndarray
     taxonomy: AttackTaxonomy
 
+    def __post_init__(self) -> None:
+        if self.features.dtype != np.float64 or self.attack_types.dtype != np.int64:
+            raise DatasetError("features must be float64 and attack_types int64")
+        width = self.schema.num_features
+        if self.features.ndim != 2 or self.features.shape[1] != width:
+            raise DatasetError(
+                f"feature matrix of shape {self.features.shape} does not hold {width} features"
+            )
+        if self.attack_types.shape != (len(self.features),):
+            raise DatasetError(
+                f"{self.attack_types.shape} attack_types do not label {len(self.features)} rows"
+            )
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.attack_types)
 
     def feature_matrix(self) -> np.ndarray:
-        """Records stacked as a float64 matrix in capture order. Cached."""
-        cached = self.__dict__.get("_matrix")
-        if cached is None:
-            cached = np.array([r.features for r in self.records], dtype=np.float64)
-            object.__setattr__(self, "_matrix", cached)
-        return cached
+        return self.features
 
     def labels(self) -> np.ndarray:
-        cached = self.__dict__.get("_labels")
-        if cached is None:
-            cached = np.array([r.attack_type for r in self.records], dtype=np.int64)
-            object.__setattr__(self, "_labels", cached)
-        return cached
+        return self.attack_types
 
     def binary_labels(self) -> np.ndarray:
-        return self.labels() != BENIGN
+        return self.attack_types != BENIGN
 
     def category_labels(self) -> np.ndarray:
         lookup = self.taxonomy.type_id_lookup()
-        return lookup[self.labels()]
+        return lookup[self.attack_types]
 
 
 def validate_dataset(d: Dataset) -> list[Violation]:
-    """Check every record- and dataset-level invariant; report all findings."""
+    """Check every label and composition invariant; report all findings,
+    label findings in record order.
+    """
     findings: list[Violation] = []
-    width = d.schema.num_features
-    known = d.taxonomy.types
-    benign = malicious = 0
-    for position, rec in enumerate(d.records):
-        if rec.index != position:
-            findings.append(
-                Violation("index", f"record index {rec.index} at position {position}", position)
-            )
-        if len(rec.features) != width:
-            findings.append(
-                Violation(
-                    "arity",
-                    f"expected {width} features, found {len(rec.features)}",
-                    position,
-                )
-            )
-        if rec.attack_type < 0:
-            findings.append(
-                Violation("label", f"negative attack_type {rec.attack_type}", position)
-            )
-        elif rec.attack_type == BENIGN:
-            benign += 1
-        elif rec.attack_type not in known:
-            findings.append(
-                Violation(
-                    "label",
-                    f"attack_type {rec.attack_type} absent from taxonomy",
-                    position,
-                )
-            )
+    labels = d.attack_types
+    known = np.isin(labels, list(d.taxonomy.types))
+    for position in np.flatnonzero((labels != BENIGN) & ~known).tolist():
+        label = int(labels[position])
+        if label < 0:
+            message = f"negative attack_type {label}"
         else:
-            malicious += 1
-    if benign == 0:
+            message = f"attack_type {label} absent from taxonomy"
+        findings.append(Violation("label", message, position))
+    if not (labels == BENIGN).any():
         findings.append(Violation("composition", "dataset has no benign records"))
-    if malicious == 0:
+    if not known.any():
         findings.append(Violation("composition", "dataset has no malicious records"))
     return findings
 
@@ -497,26 +476,27 @@ def parse_dataset(
             positions.append(header.index(name))
         label_pos = header.index(DEFAULT_LABEL_COLUMN)
 
-        code_books: dict[str, list[str]] = {
-            n: [] for n, k in zip(names, kinds) if k == CATEGORICAL
+        books: dict[str, dict[str, int]] = {
+            n: {} for n, k in zip(names, kinds) if k == CATEGORICAL
         }
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        missing: list[tuple[int, int]] = []  # (row position, feature position)
+        columns = [(name, col, books.get(name)) for name, col in zip(names, positions)]
+        values = array("d")  # cells in row-major order
+        labels = array("q")
+        missing: list[int] = []  # positions in values of blank numeric cells
         for row in reader:
             line = reader.line_num
             if len(row) != len(header):
                 raise DatasetError(
                     f"{path}: line {line}: expected {len(header)} fields, found {len(row)}"
                 )
-            values: list[float] = []
-            for fpos, (name, kind, col) in enumerate(zip(names, kinds, positions)):
+            for name, col, book in columns:
                 text = row[col].strip()
-                if kind == NUMERIC:
-                    if not text:
-                        missing.append((len(rows), fpos))
-                        values.append(np.nan)
-                        continue
+                if book is not None:
+                    values.append(book.setdefault(text, len(book)))
+                elif not text:
+                    missing.append(len(values))
+                    values.append(np.nan)
+                else:
                     try:
                         values.append(float(text))
                     except ValueError:
@@ -524,13 +504,6 @@ def parse_dataset(
                             f"{path}: line {line}: column {name!r}: "
                             f"unparseable numeric value {text!r}"
                         ) from None
-                else:
-                    book = code_books[name]
-                    try:
-                        values.append(float(book.index(text)))
-                    except ValueError:
-                        book.append(text)
-                        values.append(float(len(book) - 1))
             label_text = row[label_pos].strip()
             try:
                 label = int(label_text)
@@ -542,40 +515,35 @@ def parse_dataset(
                 raise DatasetError(f"{path}: line {line}: negative attack_type {label}")
             if label != BENIGN and label not in taxonomy.types:
                 raise DatasetError(f"{path}: line {line}: unknown attack_type id {label}")
-            rows.append(values)
             labels.append(label)
 
-    if not rows:
+    if not labels:
         raise DatasetError(f"{path}: no data rows")
 
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(labels), len(names))
     if missing:
-        matrix = np.asarray(rows, dtype=np.float64)
-        for fpos in sorted({f for _, f in missing}):
+        flagged, blank_columns = np.divmod(np.asarray(missing), len(names))
+        for fpos in np.unique(blank_columns).tolist():
             column = matrix[:, fpos]
             observed = column[~np.isnan(column)]
             median = float(np.median(observed)) if observed.size else 0.0
             column[np.isnan(column)] = median
+        flag = np.zeros(len(labels))
+        flag[flagged] = 1.0
+        matrix = np.column_stack((matrix, flag))
         flag_name = MISSING_FLAG_NAME
         while flag_name in names:
             flag_name += "_"
-        flagged = {r for r, _ in missing}
         names = names + [flag_name]
         kinds = kinds + [NUMERIC]
-        rows = [
-            list(matrix[i]) + [1.0 if i in flagged else 0.0] for i in range(len(rows))
-        ]
 
     schema = FeatureSchema(
         feature_names=tuple(names),
         feature_kinds=tuple(kinds),
         label_column=DEFAULT_LABEL_COLUMN,
-        categorical_codes={n: tuple(book) for n, book in code_books.items()},
+        categorical_codes={n: tuple(book) for n, book in books.items()},
     )
-    records = tuple(
-        LabeledRecord(i, tuple(float(v) for v in row), label)
-        for i, (row, label) in enumerate(zip(rows, labels))
-    )
-    return Dataset(schema=schema, records=records, taxonomy=taxonomy)
+    return Dataset(schema, matrix, np.frombuffer(labels, dtype=np.int64), taxonomy)
 
 
 def _format_numeric(value: float) -> str:
@@ -592,15 +560,15 @@ def dataset_to_csv(d: Dataset) -> str:
         schema.categorical_codes.get(name, ()) if kind == CATEGORICAL else None
         for name, kind in zip(schema.feature_names, schema.feature_kinds)
     ]
-    for rec in d.records:
+    for row, label in zip(d.features.tolist(), d.attack_types.tolist()):
         cells = []
-        for value, book in zip(rec.features, books):
+        for value, book in zip(row, books):
             if book is None:
                 cells.append(_format_numeric(value))
             else:
                 code = int(value)
                 cells.append(book[code] if 0 <= code < len(book) else UNKNOWN_CATEGORY_TEXT)
-        cells.append(str(rec.attack_type))
+        cells.append(str(label))
         out.append(",".join(cells))
     return "\n".join(out) + "\n"
 
@@ -714,11 +682,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
         feature_names=tuple(f"f{j}" for j in range(cfg.base_dim)),
         feature_kinds=(NUMERIC,) * cfg.base_dim,
     )
-    records = tuple(
-        LabeledRecord(i, tuple(float(v) for v in matrix[i]), int(label_vec[i]))
-        for i in range(len(label_vec))
-    )
-    return Dataset(schema=schema, records=records, taxonomy=_synthetic_taxonomy(cfg))
+    return Dataset(schema, matrix, label_vec, _synthetic_taxonomy(cfg))
 
 
 def synthetic_config_to_dict(cfg: SyntheticConfig) -> dict:

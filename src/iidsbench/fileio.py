@@ -28,10 +28,6 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def atomic_write_json(path: str | Path, obj) -> None:
-    atomic_write_text(path, dump_json(obj))
-
-
 def read_json(path: str | Path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)

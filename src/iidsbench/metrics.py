@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import BENIGN, LEVEL_ATTACK, AttackTaxonomy, LabeledRecord
+from .dataset import BENIGN, LEVEL_ATTACK, AttackTaxonomy
 from .splitting import ScenarioSpec
 
 BENIGN_GROUP = 0
@@ -85,37 +85,37 @@ class GroupRecallRow:
 
 def per_group_recall(
     predictions,
-    records: tuple[LabeledRecord, ...] | list[LabeledRecord],
+    attack_types,
     taxonomy: AttackTaxonomy,
     level: str = LEVEL_ATTACK,
 ) -> GroupRecallRow:
     """Score one fold's test set. predictions[i] is the binary verdict for
-    records[i] (True = malicious). Malicious groups score the fraction of
-    their records predicted malicious; the benign column scores the fraction
-    of benign records predicted benign.
+    the record labeled attack_types[i] (True = malicious). Malicious groups
+    score the fraction of their records predicted malicious; the benign
+    column scores the fraction of benign records predicted benign.
     """
-    if len(predictions) != len(records):
+    if len(predictions) != len(attack_types):
         raise ValueError(
-            f"length mismatch: {len(predictions)} predictions vs {len(records)} records"
+            f"length mismatch: {len(predictions)} predictions vs {len(attack_types)} labels"
         )
     pred = np.asarray(predictions, dtype=bool)
-    truth = np.array([r.is_malicious for r in records], dtype=bool)
+    types = np.asarray(attack_types, dtype=np.int64)
+    truth = types != BENIGN
 
-    values: dict[int, float | None] = {}
-    benign_total = 0
-    benign_kept = 0
+    ids, inverse = np.unique(types, return_inverse=True)
+    totals = np.bincount(inverse, minlength=len(ids))
+    hits = np.bincount(inverse[pred], minlength=len(ids))
     group_total: dict[int, int] = {}
     group_hit: dict[int, int] = {}
-    for verdict, rec in zip(pred.tolist(), records):
-        if rec.attack_type == BENIGN:
-            benign_total += 1
-            benign_kept += 0 if verdict else 1
-            continue
-        group = rec.attack_type if level == LEVEL_ATTACK else taxonomy.category_of(rec.attack_type)
-        group_total[group] = group_total.get(group, 0) + 1
-        group_hit[group] = group_hit.get(group, 0) + (1 if verdict else 0)
+    for type_id, total, hit in zip(ids.tolist(), totals.tolist(), hits.tolist()):
+        group = type_id if level == LEVEL_ATTACK else taxonomy.category_of(type_id)
+        group_total[group] = group_total.get(group, 0) + total
+        group_hit[group] = group_hit.get(group, 0) + hit
 
-    values[BENIGN_GROUP] = benign_kept / benign_total if benign_total else None
+    benign_total = group_total.get(BENIGN, 0)
+    values: dict[int, float | None] = {
+        BENIGN_GROUP: (benign_total - group_hit[BENIGN]) / benign_total if benign_total else None
+    }
     for unit in taxonomy.unit_ids(level):
         total = group_total.get(unit, 0)
         values[unit] = group_hit[unit] / total if total else None

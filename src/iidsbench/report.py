@@ -113,15 +113,12 @@ def build_matrix(
 
 @dataclass(frozen=True)
 class HeatmapSpec:
-    output: str = "text"  # text | csv | svg
     ramp_low: str = "#fde725"  # low recall reads light
     ramp_high: str = "#440154"
     annotate: bool = True
     undefined_marker: str = UNDEFINED_TEXT
 
     def __post_init__(self) -> None:
-        if self.output not in ("text", "csv", "svg"):
-            raise ReportError(f"unknown heatmap output kind {self.output!r}")
         if self.ramp_low == self.ramp_high:
             raise ReportError("color ramp endpoints must be distinct")
 

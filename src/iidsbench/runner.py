@@ -267,8 +267,8 @@ def _compute_cell(dataset: Dataset, plan: FoldPlan, key: CellKey, seed: int) -> 
     spec = replace(key.classifier, seed=seed)
     model: TrainedModel = train(spec, split, dataset)
     flags, _ = predict_dataset(model, dataset, split.test_indices)
-    test_records = [dataset.records[i] for i in split.test_indices.tolist()]
-    fragment = per_group_recall(flags, test_records, dataset.taxonomy, key.scenario.level)
+    test_labels = dataset.labels()[split.test_indices]
+    fragment = per_group_recall(flags, test_labels, dataset.taxonomy, key.scenario.level)
     row = fragment.with_context(key.scenario, key.fold)
     return CellResult(key.classifier.name, row, time.perf_counter() - start)
 

@@ -124,10 +124,6 @@ def enumerate_scenarios(
     return specs
 
 
-def build_schedule(specs: list[ScenarioSpec], k: int) -> list[tuple[ScenarioSpec, int]]:
-    return [(spec, fold) for spec in specs for fold in range(k)]
-
-
 @dataclass(frozen=True, eq=False)
 class SplitInstance:
     scenario: ScenarioSpec

@@ -20,6 +20,3 @@ class Violation:
         if self.record_index is None:
             return f"[{self.kind}] {self.message}"
         return f"[{self.kind}] record {self.record_index}: {self.message}"
-
-
-ValidationReport = list[Violation]

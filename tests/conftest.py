@@ -12,7 +12,6 @@ from iidsbench.dataset import (
     AttackType,
     Dataset,
     FeatureSchema,
-    LabeledRecord,
     SyntheticConfig,
     generate_synthetic,
 )
@@ -32,7 +31,7 @@ def tiny_dataset(
     taxonomy: AttackTaxonomy | None = None,
 ) -> Dataset:
     """Dataset built directly from a label list; features default to the
-    record index so rows stay distinguishable.
+    row index so rows stay distinguishable.
     """
     n = len(labels)
     if features is None:
@@ -43,10 +42,9 @@ def tiny_dataset(
         feature_names=tuple(f"f{j}" for j in range(len(features[0]))),
         feature_kinds=tuple("numeric" for _ in features[0]),
     )
-    records = tuple(
-        LabeledRecord(i, tuple(float(v) for v in features[i]), labels[i]) for i in range(n)
+    return Dataset(
+        schema, np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64), taxonomy
     )
-    return Dataset(schema=schema, records=records, taxonomy=taxonomy)
 
 
 def separable_config(

@@ -139,7 +139,7 @@ def test_criterion_02_baseline_partition(announce):
     ok = True
     for _ in range(30):
         d = generate_synthetic(random_synthetic(rng))
-        n = len(d.records)
+        n = len(d)
         k = int(rng.integers(2, 7))
         strategy = str(rng.choice(["stratified", "contiguous"]))
         plan = partition_folds(d, k, strategy, int(rng.integers(0, 1000)))
@@ -202,7 +202,7 @@ def test_criterion_03_metrics_oracle(announce):
         labels = rng.choice([0, 1, 2, 3], n).tolist()
         d = tiny_dataset(labels, taxonomy=tax)
         pred = rng.integers(0, 2, n).astype(bool).tolist()
-        row = per_group_recall(pred, list(d.records), tax, "attack")
+        row = per_group_recall(pred, d.labels(), tax, "attack")
         for g in (1, 2, 3):
             members = [i for i, t in enumerate(labels) if t == g]
             expected = None if not members else sum(pred[i] for i in members) / len(members)

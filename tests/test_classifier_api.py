@@ -135,8 +135,8 @@ def test_model_version_check(separable_dataset):
 def test_predict_on_records(separable_dataset):
     split = baseline_split(separable_dataset)
     model = train(ClassifierSpec("linear_svm"), split, separable_dataset)
-    records = [separable_dataset.records[i] for i in split.test_indices[:5]]
-    preds = predict(model, records)
+    rows = separable_dataset.features[split.test_indices[:5]]
+    preds = predict(model, rows)
     assert len(preds) == 5
     for p in preds:
         assert p.label in ("benign", "malicious")
@@ -163,7 +163,7 @@ def test_fresh_attack_instances_detected():
     # fresh draws from the same generating family, new seed
     probe_cfg = separable_config(benign=1, per_attack=50, attack_ids=(1,), dim=3, seed=99)
     probe = generate_synthetic(probe_cfg)
-    attack_rows = [r for r in probe.records if r.is_malicious]
+    attack_rows = probe.features[probe.binary_labels()]
     preds = predict(model, attack_rows)
     rate = sum(p.label == "malicious" for p in preds) / len(preds)
     assert rate >= 0.9

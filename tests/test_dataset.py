@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from iidsbench.dataset import (
     AttackTaxonomy,
     Dataset,
     FeatureSchema,
-    LabeledRecord,
     SyntheticConfig,
     builtin_taxonomy,
     dataset_stats,
@@ -120,6 +120,39 @@ def test_load_taxonomy_duplicate_attack(tmp_path):
         load_taxonomy(path)
 
 
+def test_readme_taxonomy_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```csv\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "tax.csv"
+    path.write_text(example)
+    tax = load_taxonomy(path)
+    builtin = builtin_taxonomy()
+    assert tax.types == {t: builtin.types[t] for t in (1, 2, 32)}
+    assert tax.categories == {c: builtin.categories[c] for c in (1, 6)}
+
+
+# -- columnar Dataset -------------------------------------------------------
+
+
+def test_dataset_rejects_mismatched_shapes():
+    schema = FeatureSchema(feature_names=("f0", "f1"), feature_kinds=("numeric", "numeric"))
+    tax = flat_taxonomy([1])
+    labels = np.array([0, 1, 0], dtype=np.int64)
+    Dataset(schema, np.zeros((3, 2)), labels, tax)
+    with pytest.raises(DatasetError, match="2 features"):
+        Dataset(schema, np.zeros((3, 3)), labels, tax)
+    with pytest.raises(DatasetError, match="2 features"):
+        Dataset(schema, np.zeros(6), labels, tax)
+    with pytest.raises(DatasetError, match="label 4 rows"):
+        Dataset(schema, np.zeros((4, 2)), labels, tax)
+    with pytest.raises(DatasetError, match="label 3 rows"):
+        Dataset(schema, np.zeros((3, 2)), labels.reshape(3, 1), tax)
+    with pytest.raises(DatasetError, match="float64"):
+        Dataset(schema, np.zeros((3, 2), dtype=np.float32), labels, tax)
+    with pytest.raises(DatasetError, match="int64"):
+        Dataset(schema, np.zeros((3, 2)), labels.astype(np.int32), tax)
+
+
 # -- parsing ----------------------------------------------------------------
 
 
@@ -133,12 +166,12 @@ def test_parse_four_row_file(tmp_path):
         "9.5,2.5,3\n"
     )
     d = parse_dataset(path)
-    assert len(d.records) == 4
-    assert [r.attack_type for r in d.records] == [0, 0, 3, 3]
-    assert sum(r.is_malicious for r in d.records) == 2
+    assert len(d) == 4
+    assert d.attack_types.tolist() == [0, 0, 3, 3]
+    assert d.binary_labels().sum() == 2
     # sequential Table-order ids put attack 3 in category 1 (NMRI)
     assert d.taxonomy.category_of(3) == 1
-    assert d.records[2].features == (9.0, 2.0)
+    assert d.features[2].tolist() == [9.0, 2.0]
 
 
 def test_parse_empty_file(tmp_path):
@@ -184,8 +217,8 @@ def test_parse_missing_numeric_imputes_median_and_flags(tmp_path):
     d = parse_dataset(path)
     assert d.schema.feature_names == ("f0", "missing_any")
     # median of present values {1, 3, 5}
-    assert d.records[1].features == (3.0, 1.0)
-    assert d.records[0].features == (1.0, 0.0)
+    assert d.features[1].tolist() == [3.0, 1.0]
+    assert d.features[0].tolist() == [1.0, 0.0]
 
 
 def test_parse_categorical_first_occurrence_codes(tmp_path):
@@ -195,7 +228,7 @@ def test_parse_categorical_first_occurrence_codes(tmp_path):
     schema_path.write_text(json.dumps({"features": [{"name": "mode", "kind": "categorical"}]}))
     d = parse_dataset(path, schema_source=schema_path)
     assert d.schema.categorical_codes["mode"] == ("auto", "manual")
-    assert [r.features[0] for r in d.records] == [0.0, 1.0, 0.0]
+    assert d.features[:, 0].tolist() == [0.0, 1.0, 0.0]
 
 
 def test_round_trip_write_parse(tmp_path):
@@ -211,12 +244,10 @@ def test_round_trip_write_parse(tmp_path):
     tax_path = tmp_path / "tax.csv"
     tax_path.write_text(taxonomy_to_csv(d.taxonomy))
     again = parse_dataset(path, taxonomy=load_taxonomy(tax_path))
-    assert len(again.records) == len(d.records)
-    for a, b in zip(d.records, again.records):
-        assert a.attack_type == b.attack_type
-        # 9 significant digits survive the trip exactly
-        for x, y in zip(a.features, b.features):
-            assert y == float(f"{x:.9g}")
+    assert np.array_equal(again.attack_types, d.attack_types)
+    # 9 significant digits survive the trip exactly
+    for x, y in zip(d.features.ravel().tolist(), again.features.ravel().tolist()):
+        assert y == float(f"{x:.9g}")
     # emitted text is a fixed point of the round trip
     assert dataset_to_csv(again) == path.read_text()
 
@@ -245,9 +276,10 @@ def test_validate_all_benign():
 
 
 def test_validate_reports_all_violations():
-    d = tiny_dataset([0, 99, 98], taxonomy=flat_taxonomy([1]))
-    kinds = {f.record_index for f in validate_dataset(d) if f.record_index is not None}
-    assert kinds == {1, 2}
+    d = tiny_dataset([0, 99, -2, 98], taxonomy=flat_taxonomy([1]))
+    findings = [f for f in validate_dataset(d) if f.record_index is not None]
+    assert [f.record_index for f in findings] == [1, 2, 3]
+    assert "negative attack_type -2" in findings[1].message
 
 
 # -- stats ------------------------------------------------------------------
@@ -285,9 +317,9 @@ def test_synthetic_deterministic():
     )
     a = generate_synthetic(cfg)
     b = generate_synthetic(cfg)
-    assert len(a.records) == 120
-    assert [r.features for r in a.records] == [r.features for r in b.records]
-    assert [r.attack_type for r in a.records] == [r.attack_type for r in b.records]
+    assert len(a) == 120
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.attack_types, b.attack_types)
 
 
 def test_synthetic_overlap_group_shares_shift():

@@ -86,7 +86,7 @@ def test_permutation_invariance(rng):
 
 def test_per_group_recall_example():
     d = tiny_dataset([3, 3, 3, 3], taxonomy=flat_taxonomy([3]))
-    row = per_group_recall([True, True, True, False], list(d.records), d.taxonomy, "attack")
+    row = per_group_recall([True, True, True, False], d.labels(), d.taxonomy, "attack")
     assert row.values[3] == 0.75
     assert row.values[0] is None  # no benign records in test
 
@@ -94,7 +94,7 @@ def test_per_group_recall_example():
 def test_per_group_recall_absent_group_undefined():
     tax = flat_taxonomy([1, 5])
     d = tiny_dataset([0, 0, 1, 1], taxonomy=tax)
-    row = per_group_recall([False, True, True, True], list(d.records), tax, "attack")
+    row = per_group_recall([False, True, True, True], d.labels(), tax, "attack")
     assert row.values[5] is None
     assert row.values[1] == 1.0
     assert row.values[0] == 0.5  # benign: 1 of 2 kept benign
@@ -104,7 +104,7 @@ def test_per_group_recall_benign_column():
     tax = flat_taxonomy([1])
     d = tiny_dataset([0, 0, 0, 1], taxonomy=tax)
     # 2 of 3 benign records correctly left benign
-    row = per_group_recall([False, True, False, True], list(d.records), tax, "attack")
+    row = per_group_recall([False, True, False, True], d.labels(), tax, "attack")
     assert row.values[0] == 2 / 3
     assert row.precision == 0.5
     assert row.recall == 1.0
@@ -113,7 +113,7 @@ def test_per_group_recall_benign_column():
 def test_per_group_recall_category_level():
     tax = flat_taxonomy([1, 2])
     d = tiny_dataset([0, 1, 2, 2], taxonomy=tax)
-    row = per_group_recall([False, True, False, True], list(d.records), tax, "category")
+    row = per_group_recall([False, True, False, True], d.labels(), tax, "category")
     assert row.level == "category"
     assert row.values[1] == 1.0
     assert row.values[2] == 0.5
@@ -125,7 +125,7 @@ def test_per_group_recall_matches_brute_force(rng):
     labels[0], labels[1] = 0, 1  # both classes present
     d = tiny_dataset(labels, taxonomy=tax)
     pred = rng.integers(0, 2, 50).astype(bool).tolist()
-    row = per_group_recall(pred, list(d.records), tax, "attack")
+    row = per_group_recall(pred, d.labels(), tax, "attack")
     for g in (1, 2, 3):
         members = [i for i, t in enumerate(labels) if t == g]
         if not members:
@@ -143,7 +143,7 @@ def test_overall_recall_is_weighted_group_mean(rng):
     labels = ([0] * 10 + [1] * 7 + [2] * 13)
     d = tiny_dataset(labels, taxonomy=tax)
     pred = rng.integers(0, 2, len(labels)).astype(bool).tolist()
-    row = per_group_recall(pred, list(d.records), tax, "attack")
+    row = per_group_recall(pred, d.labels(), tax, "attack")
     weighted = (7 * row.values[1] + 13 * row.values[2]) / 20
     assert row.recall == pytest.approx(weighted, abs=1e-12)
 
@@ -153,7 +153,7 @@ def test_perfect_predictor():
     labels = [0, 0, 1, 2, 2]
     d = tiny_dataset(labels, taxonomy=tax)
     pred = [t != 0 for t in labels]
-    row = per_group_recall(pred, list(d.records), tax, "attack")
+    row = per_group_recall(pred, d.labels(), tax, "attack")
     assert row.values == {0: 1.0, 1: 1.0, 2: 1.0}
     assert row.precision == 1.0 and row.recall == 1.0 and row.f1 == 1.0
 

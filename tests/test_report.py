@@ -114,8 +114,6 @@ def test_empty_matrix_rejected():
 
 def test_heatmap_spec_validation():
     with pytest.raises(ReportError):
-        HeatmapSpec(output="png")
-    with pytest.raises(ReportError):
         HeatmapSpec(ramp_low="#aaaaaa", ramp_high="#aaaaaa")
 
 

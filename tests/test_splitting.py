@@ -11,7 +11,6 @@ from iidsbench.splitting import (
     FoldPlan,
     ScenarioSpec,
     SplitInstance,
-    build_schedule,
     check_split,
     enumerate_scenarios,
     materialize_split,
@@ -58,7 +57,7 @@ def test_contiguous_ten_records_k5():
 def test_stratified_five_five_k5():
     d = tiny_dataset([0] * 5 + [1] * 5)
     plan = partition_folds(d, 5, "stratified", 123)
-    labels = np.array([r.attack_type for r in d.records])
+    labels = d.labels()
     for fold in range(5):
         members = labels[plan.assignment == fold]
         assert sorted(members.tolist()) == [0, 1]
@@ -132,15 +131,6 @@ def test_enumerate_baseline_only():
 def test_enumerate_unknown_mode():
     with pytest.raises(SplitError):
         enumerate_scenarios(builtin_taxonomy(), "attack", {"bogus"})
-
-
-def test_build_schedule_counts():
-    specs = enumerate_scenarios(builtin_taxonomy(), "category", {"baseline", "omit", "only"})
-    schedule = build_schedule(specs, 5)
-    assert len(schedule) == (1 + 7 + 7) * 5
-    assert schedule[0] == (specs[0], 0)
-    assert schedule[4] == (specs[0], 4)
-    assert schedule[5] == (specs[1], 0)
 
 
 # -- materialize_split ------------------------------------------------------

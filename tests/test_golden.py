@@ -1,4 +1,4 @@
-"""Golden digests: run.json (timing aside) of two fixed experiments.
+"""Golden digests: run.json (timing aside) of three fixed experiments.
 
 Each test pins the sha256 of the canonical JSON of a finished run, so any
 change to parsing, splitting, preprocessing, training or scoring that moves
@@ -25,6 +25,7 @@ from iidsbench.runner import ExperimentConfig, artifact_to_dict, run
 
 SYNTHETIC_DIGEST = "d74d7253f045b2ce6756f554226f6160fb494cae51b667d4b67798db9a0c84d6"
 GAS_CSV_DIGEST = "c4676bd53263be03acc248e4b9f3e9e3ba03f008f923a2a051508c39936493d4"
+FOREST_TIES_DIGEST = "04c319fb71db8159fc26f9e6e2fba583254756ea368e11ca2b9bb2018abb9beb"
 
 
 def digest(cfg: ExperimentConfig) -> str:
@@ -101,3 +102,62 @@ def test_golden_gas_csv_category_level(tmp_path, monkeypatch):
         output_dir="out",
     )
     assert digest(cfg) == GAS_CSV_DIGEST
+
+
+def write_tied_csv(path) -> None:
+    """Integer-valued numeric columns over a few values each and low-cardinality
+    categorical columns, so most split candidates sit inside long runs of equal
+    values. Benign and attack rows overlap, so unbounded trees grow deep.
+    """
+    rng = np.random.default_rng(77)
+    labels = rng.permutation([0] * 240 + [1] * 40 + [2] * 40 + [32] * 40).tolist()
+    lines = ["n0,n1,n2,n3,n4,c0,c1,c2,attack_type"]
+    for label in labels:
+        cells = [
+            str(int(rng.integers(-2, 3)) + (1 if label == 1 else 0)),
+            str(int(rng.integers(0, 4)) + (1 if label == 2 else 0)),
+            str(int(rng.integers(0, 10))),
+            str(int(rng.integers(0, 2)) * (2 if label == 32 else 1)),
+            str(int(rng.poisson(1.0 + (label > 0)))),
+        ]
+        cells += [f"k{int(rng.integers(0, 3))}" for _ in range(2)]
+        cells.append("on" if rng.random() < (0.7 if label == 32 else 0.4) else "off")
+        cells.append(str(label))
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_golden_forest_ties_unbounded_depth(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_tied_csv(tmp_path / "tied.csv")
+    kinds = ["numeric"] * 5 + ["categorical"] * 3
+    names = ["n0", "n1", "n2", "n3", "n4", "c0", "c1", "c2"]
+    schema = {"features": [{"name": n, "kind": k} for n, k in zip(names, kinds)]}
+    (tmp_path / "tied.schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    (tmp_path / "tied.taxonomy.csv").write_text(
+        "kind,id,name,category,abbreviation\n"
+        "category,1,Injection,,INJ\n"
+        "category,6,Denial of Service,,DoS\n"
+        "attack,1,INJ-1,1,\n"
+        "attack,2,INJ-2,1,\n"
+        "attack,32,DoS-1,6,\n",
+        encoding="utf-8",
+    )
+    cfg = ExperimentConfig(
+        classifiers=(
+            ClassifierSpec(
+                "random_forest",
+                {"n_trees": 5, "max_depth": None, "min_leaf": 3},
+                name="forest",
+            ),
+        ),
+        dataset_path="tied.csv",
+        schema_source="tied.schema.json",
+        taxonomy_source="tied.taxonomy.csv",
+        k=3,
+        seed=13,
+        levels=("attack",),
+        modes=("baseline", "omit"),
+        output_dir="out",
+    )
+    assert digest(cfg) == FOREST_TIES_DIGEST

@@ -3,10 +3,19 @@
 Each node draws sqrt(F) candidate features without replacement and takes
 the (feature, threshold) pair minimizing weighted Gini impurity, with
 thresholds at midpoints between consecutive distinct sorted values. Ties
-keep the earliest candidate in draw order, so training is deterministic
-given the seed. Leaves store the malicious fraction of their samples; a
-tree votes malicious when the reached leaf's fraction is >= 0.5, and the
-forest score is the fraction of trees voting malicious.
+keep the earliest candidate in draw order, then the lowest threshold, so
+training is deterministic given the seed. Leaves store the malicious
+fraction of their samples; a tree votes malicious when the reached leaf's
+fraction is >= 0.5, and the forest score is the fraction of trees voting
+malicious.
+
+A tree grows on a feature-major (F x n) copy of its bootstrap sample, so
+each candidate feature is one contiguous row. A node sorts all its drawn
+features with one argsort along the rows, scores every cut position of
+every row at once, and takes one row-major argmin. The sort need not be
+stable: a cut is scored only where a run of equal values ends, and the
+count of malicious rows up to there is the same whatever the order inside
+the run (float sums of 0/1 are exact).
 """
 
 from __future__ import annotations
@@ -27,80 +36,63 @@ class DecisionTree:
     fraction: np.ndarray  # malicious fraction of the node's training rows
 
 
-def _best_split(X, y, idx, rng, m_try, min_leaf):
-    feats = rng.choice(X.shape[1], size=m_try, replace=False)
+def _weighted_gini(count, pos):
+    """count * 2 * p * (1 - p) with p = pos / count, computed in pos."""
+    pos /= count
+    q = 1 - pos
+    pos *= count * 2
+    pos *= q
+    return pos
+
+
+def _best_split(Xt, y, idx, rng, m_try, min_leaf):
+    feats = rng.choice(Xt.shape[0], size=m_try, replace=False)
     n = len(idx)
-    yv = y[idx].astype(np.float64)
-    best = None  # (cost, feature, threshold)
-    for f in feats:
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = yv[order]
-        boundaries = np.flatnonzero(sv[:-1] < sv[1:])
-        if boundaries.size == 0:
-            continue
-        n_left = boundaries + 1
-        keep = (n_left >= min_leaf) & ((n - n_left) >= min_leaf)
-        if not keep.any():
-            continue
-        boundaries = boundaries[keep]
-        cum_pos = np.cumsum(sy)
-        n_l = (boundaries + 1).astype(np.float64)
-        pos_l = cum_pos[boundaries]
-        n_r = n - n_l
-        pos_r = cum_pos[-1] - pos_l
-        p_l = pos_l / n_l
-        p_r = pos_r / n_r
-        cost = (n_l * 2 * p_l * (1 - p_l) + n_r * 2 * p_r * (1 - p_r)) / n
-        j = int(np.argmin(cost))
-        if best is None or cost[j] < best[0]:
-            thr = (sv[boundaries[j]] + sv[boundaries[j] + 1]) / 2.0
-            best = (float(cost[j]), int(f), float(thr))
-    if best is None:
+    yv = y[idx]
+    sv = Xt[feats[:, None], idx]
+    order = np.argsort(sv, axis=1)
+    sv = np.take_along_axis(sv, order, axis=1)
+    # column b scores the cut after sorted position b, which sends b + 1 rows left
+    pos_l = np.cumsum(yv[order], axis=1, dtype=np.float64)[:, :-1]
+    del order
+    pos_r = yv.sum() - pos_l
+    n_l = np.arange(1, n, dtype=np.float64)
+    cost = _weighted_gini(n_l, pos_l)
+    cost += _weighted_gini(n - n_l, pos_r)
+    cost /= n
+    cost[~(sv[:, :-1] < sv[:, 1:])] = np.inf
+    cost[:, : min_leaf - 1] = np.inf
+    cost[:, n - min_leaf :] = np.inf
+    i, b = np.unravel_index(np.argmin(cost), cost.shape)
+    if cost[i, b] == np.inf:
         return None
-    return best[1], best[2]
+    return int(feats[i]), float((sv[i, b] + sv[i, b + 1]) / 2.0)
 
 
-def _grow_tree(X, y, rng, max_depth, min_leaf, m_try) -> DecisionTree:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    fraction: list[float] = []
-
-    def add_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        fraction.append(0.0)
-        return len(feature) - 1
-
-    root = add_node()
-    stack = [(np.arange(len(y)), 0, root)]
+def _grow_tree(Xt, y, rng, max_depth, min_leaf, m_try) -> DecisionTree:
+    leaf = [-1, 0.0, -1, -1, 0.0]  # feature, threshold, left, right, fraction
+    nodes = [list(leaf)]
+    stack = [(np.arange(len(y)), 0, 0)]
     while stack:
         idx, depth, slot = stack.pop()
         pos = int(y[idx].sum())
-        fraction[slot] = pos / len(idx)
+        nodes[slot][4] = pos / len(idx)
         if pos == 0 or pos == len(idx):
             continue
         if max_depth is not None and depth >= max_depth:
             continue
         if len(idx) < 2 * min_leaf:
             continue
-        split = _best_split(X, y, idx, rng, m_try, min_leaf)
+        split = _best_split(Xt, y, idx, rng, m_try, min_leaf)
         if split is None:
             continue
         f, thr = split
-        goes_left = X[idx, f] <= thr
-        feature[slot] = f
-        threshold[slot] = thr
-        left[slot] = add_node()
-        right[slot] = add_node()
-        stack.append((idx[goes_left], depth + 1, left[slot]))
-        stack.append((idx[~goes_left], depth + 1, right[slot]))
-
+        goes_left = Xt[f, idx] <= thr
+        nodes[slot][:4] = [f, thr, len(nodes), len(nodes) + 1]
+        nodes += [list(leaf), list(leaf)]
+        stack.append((idx[goes_left], depth + 1, len(nodes) - 2))
+        stack.append((idx[~goes_left], depth + 1, len(nodes) - 1))
+    feature, threshold, left, right, fraction = zip(*nodes)
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -124,9 +116,14 @@ def train_random_forest(hyperparameters: dict, X, y, seed: int) -> list[Decision
     for i in range(hyperparameters["n_trees"]):
         rng = np.random.default_rng((seed, i))
         boot = rng.integers(0, n, size=n)
+        # feature-major bootstrap, gathered 1024 rows at a time so that no
+        # second full-size copy is ever live
+        Xt = np.empty((X.shape[1], n))
+        for start in range(0, n, 1024):
+            Xt[:, start : start + 1024] = X[boot[start : start + 1024]].T
         trees.append(
             _grow_tree(
-                X[boot],
+                Xt,
                 y[boot],
                 rng,
                 hyperparameters["max_depth"],

@@ -85,8 +85,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_config(path: str):
+    try:
+        return read_json(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
-    cfg = synthetic_config_from_dict(read_json(args.config))
+    cfg = synthetic_config_from_dict(_read_config(args.config))
     dataset = generate_synthetic(cfg)
     write_dataset(dataset, args.out)
     taxonomy_out = args.taxonomy_out
@@ -100,8 +109,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    data = read_json(args.config)
-    cfg = runner.config_from_dict(data)
+    cfg = runner.config_from_dict(_read_config(args.config))
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed

@@ -112,6 +112,20 @@ def test_stats_missing_file_exit_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "run"])
+@pytest.mark.parametrize("fault", ["missing", "malformed"])
+def test_unreadable_config_exit_3(tmp_path, capsys, command, fault):
+    cfg = tmp_path / "cfg.json"
+    if fault == "malformed":
+        cfg.write_text('{"k": 2,')
+    out = tmp_path / ("data.csv" if command == "synth" else "out")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err
+    assert ("not valid JSON" in err) == (fault == "malformed")
+    assert not out.exists()
+
+
 def test_synth_writes_taxonomy_sibling(synth_files):
     data, tax = synth_files
     assert data.exists() and tax.exists()

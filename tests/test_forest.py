@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from iidsbench.classifiers.forest import (
+    _best_split,
     forest_from_dict,
     forest_scores,
     forest_to_dict,
@@ -108,3 +109,103 @@ def test_json_round_trip(rng):
     again = forest_from_dict(forest_to_dict(forest))
     probe = rng.normal(size=(20, 2))
     assert (forest_scores(forest, probe) == forest_scores(again, probe)).all()
+
+
+# -- split search against the per-feature reference --------------------------
+
+
+def reference_best_split(X, y, idx, rng, m_try, min_leaf):
+    """One feature at a time over a row-major X, stable sort, first strict
+    minimum wins: the search the vectorized one must reproduce exactly."""
+    feats = rng.choice(X.shape[1], size=m_try, replace=False)
+    n = len(idx)
+    yv = y[idx].astype(np.float64)
+    best = None  # (cost, feature, threshold)
+    for f in feats:
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sy = yv[order]
+        boundaries = np.flatnonzero(sv[:-1] < sv[1:])
+        if boundaries.size == 0:
+            continue
+        n_left = boundaries + 1
+        keep = (n_left >= min_leaf) & ((n - n_left) >= min_leaf)
+        if not keep.any():
+            continue
+        boundaries = boundaries[keep]
+        cum_pos = np.cumsum(sy)
+        n_l = (boundaries + 1).astype(np.float64)
+        pos_l = cum_pos[boundaries]
+        n_r = n - n_l
+        pos_r = cum_pos[-1] - pos_l
+        p_l = pos_l / n_l
+        p_r = pos_r / n_r
+        cost = (n_l * 2 * p_l * (1 - p_l) + n_r * 2 * p_r * (1 - p_r)) / n
+        j = int(np.argmin(cost))
+        if best is None or cost[j] < best[0]:
+            thr = (sv[boundaries[j]] + sv[boundaries[j] + 1]) / 2.0
+            best = (float(cost[j]), int(f), float(thr))
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def tied_matrix(rng, n, n_features):
+    """Columns of few integer values, one constant column, and a column whose
+    zeros are a mix of 0.0 and -0.0."""
+    X = rng.integers(-2, 3, size=(n, n_features)).astype(np.float64)
+    X[:, 1] = 7.0
+    zeros = X[:, 2] == 0
+    X[zeros, 2] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+    X[:, 3] = rng.normal(size=n).round(1)
+    return X
+
+
+def assert_same_split(X, y, idx, seed, m_try, min_leaf):
+    ref_rng = np.random.default_rng(seed)
+    new_rng = np.random.default_rng(seed)
+    ref = reference_best_split(X, y, idx, ref_rng, m_try, min_leaf)
+    new = _best_split(np.ascontiguousarray(X.T), y, idx, new_rng, m_try, min_leaf)
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+    if ref is None:
+        assert new is None
+    else:
+        assert new is not None
+        assert new[0] == ref[0]
+        assert np.float64(new[1]).tobytes() == np.float64(ref[1]).tobytes()
+    return new
+
+
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+def test_best_split_matches_reference(min_leaf):
+    rng = np.random.default_rng(min_leaf)
+    found = 0
+    for trial in range(60):
+        n_rows, n_features = 40, int(rng.integers(4, 10))
+        X = tied_matrix(rng, n_rows, n_features)
+        y = rng.random(n_rows) < rng.uniform(0.1, 0.9)
+        # node sizes from just above 2 * min_leaf up to every row
+        size = int(rng.integers(2 * min_leaf, n_rows + 1))
+        if trial % 3 == 0:
+            size = min(n_rows, 2 * min_leaf + int(rng.integers(0, 3)))
+        idx = np.sort(rng.choice(n_rows, size=size, replace=False))
+        m_try = int(rng.integers(1, n_features + 1))
+        found += assert_same_split(X, y, idx, trial, m_try, min_leaf) is not None
+    assert found > 30
+
+
+def test_best_split_signed_zero_threshold():
+    # the only cut lies between -0.5 and a run of mixed 0.0 / -0.0
+    X = np.array([[-0.5], [0.0], [-0.0], [0.0], [-0.0]])
+    y = np.array([True, False, False, False, False])
+    assert assert_same_split(X, y, np.arange(5), 0, 1, 1) == (0, -0.25)
+
+
+def test_best_split_none_without_valid_cut():
+    X = np.array([[3.0, 0.0], [3.0, 0.0], [3.0, 0.0], [3.0, 1.0], [3.0, 0.0], [3.0, 0.0]])
+    y = np.array([False, True, False, True, False, True])
+    idx = np.arange(6)
+    # column 0 is constant; column 1's one cut leaves a single row on one side
+    assert assert_same_split(X, y, idx, 0, 2, 2) is None
+    assert assert_same_split(X, y, idx, 0, 2, 1) == (1, 0.5)

@@ -155,6 +155,21 @@ def test_windowed_model_uses_capture_order():
     assert len(flags) == len(split.test_indices)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_predict_dataset_indices_match_full_scores(kind, separable_dataset):
+    d = separable_dataset
+    split = baseline_split(d)
+    spec = ClassifierSpec(kind, {**FAST_HP[kind], "window": 3}, seed=4)
+    model = train(spec, split, d)
+    all_flags, all_scores = predict_dataset(model, d)
+    assert len(all_scores) == len(d)
+    # unsorted, repeated, and the first rows, whose windows reach before row 0
+    idx = np.concatenate([[len(d) - 1, 0, 1, 1], split.test_indices[::-1]])
+    flags, scores = predict_dataset(model, d, idx)
+    assert (flags == all_flags[idx]).all()
+    assert (scores == all_scores[idx]).all()
+
+
 def test_fresh_attack_instances_detected():
     cfg = separable_config(benign=300, per_attack=60, attack_ids=(1,), dim=3, seed=5)
     d = generate_synthetic(cfg)

@@ -1,9 +1,10 @@
-"""Golden digests: run.json (timing aside) of three fixed experiments.
+"""Golden digests: run.json (timing aside) of four fixed experiments.
 
 Each test pins the sha256 of the canonical JSON of a finished run, so any
 change to parsing, splitting, preprocessing, training or scoring that moves
-a single number fails here. The mlp is left out: BLAS thread counts can
-change its last bits.
+a single number fails here. The windowed mlp digest reads the same with
+numpy's default OpenBLAS thread pool and with one BLAS thread; a BLAS build
+that sums matrix products in another order may move its last bits.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from iidsbench.runner import ExperimentConfig, artifact_to_dict, run
 SYNTHETIC_DIGEST = "d74d7253f045b2ce6756f554226f6160fb494cae51b667d4b67798db9a0c84d6"
 GAS_CSV_DIGEST = "c4676bd53263be03acc248e4b9f3e9e3ba03f008f923a2a051508c39936493d4"
 FOREST_TIES_DIGEST = "04c319fb71db8159fc26f9e6e2fba583254756ea368e11ca2b9bb2018abb9beb"
+MLP_WINDOWED_DIGEST = "8f84ea8ca981a0af0f371a43bdbe8e01a1aeb84a137a69b35c90ae514900c144"
 
 
 def digest(cfg: ExperimentConfig) -> str:
@@ -102,6 +104,24 @@ def test_golden_gas_csv_category_level(tmp_path, monkeypatch):
         output_dir="out",
     )
     assert digest(cfg) == GAS_CSV_DIGEST
+
+
+def test_golden_mlp_windowed_category_level(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_gas_csv(tmp_path / "gas.csv")
+    cfg = ExperimentConfig(
+        classifiers=(
+            ClassifierSpec("mlp", {"hidden": [16, 8], "epochs": 3, "window": 3}, name="mlp"),
+        ),
+        dataset_path="gas.csv",
+        schema_source=SCHEMA_GAS_PIPELINE,
+        k=3,
+        seed=9,
+        levels=("category",),
+        modes=("baseline", "omit"),
+        output_dir="out",
+    )
+    assert digest(cfg) == MLP_WINDOWED_DIGEST
 
 
 def write_tied_csv(path) -> None:

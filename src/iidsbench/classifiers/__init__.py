@@ -1,9 +1,10 @@
 """The three reference detectors behind one train/predict interface.
 
 train() handles the shared pipeline: fit the preprocessor on train rows
-only, transform the whole dataset in capture order (so windows reach
-across split boundaries by design), then dispatch to the kind's training
-routine. Models are value objects; predict is pure.
+only, build the windowed train rows, then dispatch to the kind's training
+routine. predict_dataset() builds and scores only the requested rows. Both
+read each window from the dataset in capture order, so windows reach across
+split boundaries by design. Models are value objects; predict is pure.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def train(spec: ClassifierSpec, split: SplitInstance, d: Dataset) -> TrainedMode
         cardinalities=d.schema.cardinalities(),
         one_hot=spec.kind in (KIND_SVM, KIND_MLP),
     )
-    X_train = transform(pre, X)[train_idx]
+    X_train = transform(pre, X, train_idx)
 
     if spec.kind == KIND_FOREST:
         params = train_random_forest(spec.hyperparameters, X_train, y_train, spec.seed)
@@ -129,12 +130,12 @@ def predict_dataset(
     d: Dataset,
     indices=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score records of a full dataset, windowing over its capture order,
-    and return (malicious flags, scores) for `indices` (default: all rows).
+    """Score the records `indices` (default: all rows) of a full dataset,
+    windowing over its capture order, and return (malicious flags, scores).
+    Only the requested rows are built and scored.
     """
-    scores = _score_matrix(model, transform(model.preprocessor, d.feature_matrix()))
-    if indices is not None:
-        scores = scores[np.asarray(indices, dtype=np.int64)]
+    rows = None if indices is None else np.asarray(indices, dtype=np.int64)
+    scores = _score_matrix(model, transform(model.preprocessor, d.feature_matrix(), rows))
     return labels_from_scores(scores), scores
 
 

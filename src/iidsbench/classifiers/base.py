@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dataset import CATEGORICAL, NUMERIC
 from ..errors import ConfigError, TrainError
@@ -155,31 +156,31 @@ def fit_preprocessor(
     )
 
 
-def _encode(p: PreprocessorState, X: np.ndarray) -> np.ndarray:
-    columns = []
+def _encode(p: PreprocessorState, X: np.ndarray, out: np.ndarray) -> None:
+    """Write the encoded rows of X into out, a zeroed (len(X), encoded_width) matrix."""
+    col = 0
     for j, kind in enumerate(p.feature_kinds):
-        col = X[:, j]
-        if kind == NUMERIC:
-            if p.zero_variance[j]:
-                columns.append(col[:, None])
-            else:
-                columns.append(((col - p.means[j]) / p.stds[j])[:, None])
-        elif p.one_hot:
+        if kind == CATEGORICAL and p.one_hot:
             card = p.cardinalities[j]
-            codes = np.clip(col.astype(np.int64), 0, card)
-            block = np.zeros((len(col), card + 1), dtype=np.float64)
-            block[np.arange(len(col)), codes] = 1.0
-            columns.append(block)
+            codes = np.clip(X[:, j].astype(np.int64), 0, card)
+            out[np.arange(len(X)), col + codes] = 1.0
+            col += card + 1
         else:
-            columns.append(col[:, None])
-    return np.hstack(columns)
+            if kind == NUMERIC and not p.zero_variance[j]:
+                out[:, col] = (X[:, j] - p.means[j]) / p.stds[j]
+            else:
+                out[:, col] = X[:, j]
+            col += 1
 
 
-def transform(p: PreprocessorState, features) -> np.ndarray:
-    """Standardize, encode, and window rows given in capture order. Row i of
-    the output concatenates encoded rows i-w+1..i; rows before index 0 are
-    zero blocks. Train/test membership of a windowed row follows its last
-    (newest) block.
+def transform(p: PreprocessorState, features, rows=None) -> np.ndarray:
+    """Standardize, encode, and window rows given in capture order, and return
+    the output rows named by the integer array `rows` (default: all), in that
+    order. Output row i concatenates encoded rows i-w+1..i; rows before index
+    0 are zero blocks. Train/test membership of a windowed row follows its
+    last (newest) block. Only the requested rows are built: at window 1 just
+    those rows are encoded; otherwise the whole capture is encoded once,
+    unwindowed, and each requested window is gathered from it.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(p.feature_kinds):
@@ -187,20 +188,18 @@ def transform(p: PreprocessorState, features) -> np.ndarray:
             f"feature arity mismatch: expected {len(p.feature_kinds)} columns, "
             f"got {X.shape[1] if X.ndim == 2 else 'non-matrix input'}"
         )
-    encoded = _encode(p, X)
-    w = p.window
+    w, width = p.window, p.encoded_width
+    if w == 1 and rows is not None:
+        X, rows = X[rows], None
+    padded = np.zeros((w - 1 + len(X), width), dtype=np.float64)
+    _encode(p, X, padded[w - 1 :])
     if w == 1:
-        return encoded
-    n, width = encoded.shape
-    out = np.zeros((n, width * w), dtype=np.float64)
-    for block in range(w):
-        shift = w - 1 - block  # block holds row i - shift
-        target = out[:, block * width : (block + 1) * width]
-        if shift == 0:
-            target[:] = encoded
-        else:
-            target[shift:] = encoded[:-shift]
-    return out
+        return padded
+    # windows[i] is padded[i : i + w], i.e. encoded rows i-w+1..i
+    windows = sliding_window_view(padded, (w, width))[:, 0]
+    if rows is not None:
+        windows = windows[rows]
+    return windows.reshape(-1, w * width)
 
 
 def preprocessor_to_dict(p: PreprocessorState) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -488,11 +488,15 @@ def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
             initializer=_pool_init,
             initargs=(dataset, plan),
         ) as pool:
-            futures = [(key, pool.submit(_pool_task, (key, seed))) for key, seed in pending]
-            for key, future in futures:
+            # Cells are written as they finish, so an interrupt keeps every
+            # finished cell; the first failure cancels the queued ones.
+            futures = {pool.submit(_pool_task, (key, seed)): key for key, seed in pending}
+            for future in as_completed(futures):
+                key = futures[future]
                 try:
                     finish(key, future.result())
                 except Exception as exc:
+                    pool.shutdown(cancel_futures=True)
                     raise RunError(f"cell {key.ident()} failed: {exc}") from exc
 
     ordered = sorted(results.values(), key=_sort_key)

@@ -167,7 +167,14 @@ def test_predict_dataset_indices_match_full_scores(kind, separable_dataset):
     idx = np.concatenate([[len(d) - 1, 0, 1, 1], split.test_indices[::-1]])
     flags, scores = predict_dataset(model, d, idx)
     assert (flags == all_flags[idx]).all()
-    assert (scores == all_scores[idx]).all()
+    if kind == "random_forest":
+        assert (scores == all_scores[idx]).all()
+    else:
+        # numpy hands a product with one row or one output column to OpenBLAS's
+        # matrix-vector routine, which computes the rows left over after its
+        # blocks of four with another kernel. So a score can move in its last
+        # bits with the number of rows scored beside it, on equal input rows.
+        np.testing.assert_allclose(scores, all_scores[idx], rtol=1e-12, atol=0)
 
 
 def test_fresh_attack_instances_detected():

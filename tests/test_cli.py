@@ -71,7 +71,9 @@ def test_usage_errors_exit_2():
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
-    assert "subcommand" in capsys.readouterr().out or True
+    out = capsys.readouterr().out
+    for name in ("validate", "stats", "synth", "run", "resume", "report", "compare"):
+        assert f"\n    {name} " in out, name
 
 
 def test_validate_ok(synth_files, capsys):

@@ -1,4 +1,5 @@
-"""Standardization, zero-variance pass-through, one-hot coding, windowing."""
+"""Standardization, zero-variance pass-through, one-hot coding, windowing,
+and the row selection of transform against a whole-capture reference."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from iidsbench.classifiers.base import (
     preprocessor_to_dict,
     transform,
 )
+from iidsbench.dataset import CATEGORICAL, NUMERIC
 from iidsbench.errors import TrainError
 
 
@@ -116,3 +118,83 @@ def test_preprocessor_round_trip(rng):
     p = fit_preprocessor(x, window=2)
     q = preprocessor_from_dict(preprocessor_to_dict(p))
     assert (transform(p, x) == transform(q, x)).all()
+
+
+def reference_encode(p: PreprocessorState, X: np.ndarray) -> np.ndarray:
+    """One array per column, stacked: the column loop transform is checked against."""
+    columns = []
+    for j, kind in enumerate(p.feature_kinds):
+        col = X[:, j]
+        if kind == NUMERIC:
+            if p.zero_variance[j]:
+                columns.append(col[:, None])
+            else:
+                columns.append(((col - p.means[j]) / p.stds[j])[:, None])
+        elif p.one_hot:
+            card = p.cardinalities[j]
+            codes = np.clip(col.astype(np.int64), 0, card)
+            block = np.zeros((len(col), card + 1), dtype=np.float64)
+            block[np.arange(len(col)), codes] = 1.0
+            columns.append(block)
+        else:
+            columns.append(col[:, None])
+    return np.hstack(columns)
+
+
+def reference_transform(p: PreprocessorState, X: np.ndarray) -> np.ndarray:
+    """Every row windowed, one shifted copy per block: the oracle for transform."""
+    encoded = reference_encode(p, X)
+    w = p.window
+    if w == 1:
+        return encoded
+    n, width = encoded.shape
+    out = np.zeros((n, width * w), dtype=np.float64)
+    for block in range(w):
+        shift = w - 1 - block  # block holds row i - shift
+        target = out[:, block * width : (block + 1) * width]
+        if shift == 0:
+            target[:] = encoded
+        else:
+            target[shift:] = encoded[:-shift]
+    return out
+
+
+def mixed_capture(rng, n: int = 40) -> tuple[np.ndarray, tuple[str, ...], tuple[int, ...]]:
+    """Numeric, zero-variance and categorical columns; codes 3 and 4 of the
+    second categorical lie past its code book of three.
+    """
+    X = np.column_stack(
+        [
+            rng.normal(2.0, 3.0, n),
+            np.full(n, 7.5),
+            rng.integers(0, 3, n),
+            rng.integers(0, 5, n),
+            rng.normal(-1.0, 0.5, n),
+        ]
+    ).astype(np.float64)
+    kinds = (NUMERIC, NUMERIC, CATEGORICAL, CATEGORICAL, NUMERIC)
+    return X, kinds, (3, 3, 3, 3, 0)
+
+
+@pytest.mark.parametrize("one_hot", [True, False])
+@pytest.mark.parametrize("window", [1, 3, 5])
+def test_transform_rows_match_reference(rng, window, one_hot):
+    X, kinds, cards = mixed_capture(rng)
+    p = fit_preprocessor(X[5:30], window, kinds, cards, one_hot)
+    assert p.zero_variance.tolist() == [False, True, False, False, False]
+    expected = reference_transform(p, X)
+    n = len(X)
+    padded = np.arange(window - 1)  # rows whose windows reach before row 0
+    for rows in (
+        padded,
+        np.array([n - 1, 0, 17, 17, 3, n - 1, 1], dtype=np.int64),
+        rng.permutation(n)[: n // 2],
+        np.arange(n),
+        np.array([], dtype=np.int64),
+    ):
+        out = transform(p, X, rows)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.shape == expected[rows].shape
+        assert out.tobytes() == expected[rows].tobytes()
+    whole = transform(p, X)
+    assert whole.shape == expected.shape and whole.tobytes() == expected.tobytes()

@@ -14,6 +14,7 @@ from iidsbench.errors import ConfigError, RunError
 from iidsbench.fileio import read_json
 from iidsbench.runner import (
     ExperimentConfig,
+    _read_existing_cell,
     cell_seed,
     compare_experiments,
     compare_to_csv,
@@ -278,6 +279,26 @@ def test_failed_cell_names_identity_and_leaves_marker(tmp_path):
     assert "omit-attack-1" in str(err.value)
     assert "forest" in str(err.value)
     assert (out / "INCOMPLETE").exists()
+
+
+def test_parallel_failure_names_cell_and_keeps_readable_cells(tmp_path):
+    # With one attack-2 row, omitting attack 1 leaves the fold that tests
+    # that row with no malicious train rows; every other cell is well posed.
+    rare = SyntheticConfig(
+        benign_count=60,
+        attacks=(AttackSpec(1, 20, (0,), 6.0), AttackSpec(2, 1, (1,), 6.0)),
+        base_dim=2,
+        seed=1,
+    )
+    out = tmp_path / "out"
+    cfg = small_config(out, synthetic=rare, modes=("baseline", "omit"), workers=2)
+    with pytest.raises(RunError, match=r"cell forest/omit-attack-1/fold \d failed: degenerate"):
+        run(cfg)
+    assert (out / "INCOMPLETE").exists()
+    fingerprint = config_fingerprint(cfg)
+    for path in (out / "cells").rglob("*.json"):
+        cell = _read_existing_cell(path, fingerprint, str(path))
+        assert cell.classifier == "forest"
 
 
 def test_load_artifact_round_trip(tmp_path):

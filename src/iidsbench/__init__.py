@@ -7,7 +7,7 @@ train-on-one-unit), train the bundled from-scratch classifiers on each
 variant, and aggregate per-group recall into heatmap matrices.
 """
 
-from .classifiers import ClassifierSpec, TrainedModel, load_model, predict, save_model, train
+from .classifiers import ClassifierSpec, TrainedModel, train
 from .dataset import (
     AttackSpec,
     AttackTaxonomy,
@@ -34,7 +34,7 @@ from .errors import (
     TrainError,
 )
 from .metrics import GroupRecallRow, aggregate_folds, confusion, per_group_recall
-from .report import HeatmapSpec, MetricsMatrix, delta_vs_baseline, precision_report
+from .report import HeatmapSpec, MetricsMatrix, precision_report
 from .runner import (
     ExperimentConfig,
     RunArtifact,
@@ -86,21 +86,17 @@ __all__ = [
     "compare_experiments",
     "confusion",
     "dataset_stats",
-    "delta_vs_baseline",
     "enumerate_scenarios",
     "generate_synthetic",
     "load_artifact",
-    "load_model",
     "load_taxonomy",
     "materialize_split",
     "parse_dataset",
     "partition_folds",
     "per_group_recall",
     "precision_report",
-    "predict",
     "resume",
     "run",
-    "save_model",
     "train",
     "validate_dataset",
     "write_dataset",

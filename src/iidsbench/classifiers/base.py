@@ -202,40 +202,6 @@ def transform(p: PreprocessorState, features, rows=None) -> np.ndarray:
     return windows.reshape(-1, w * width)
 
 
-def preprocessor_to_dict(p: PreprocessorState) -> dict:
-    return {
-        "means": p.means.tolist(),
-        "stds": p.stds.tolist(),
-        "zero_variance": p.zero_variance.tolist(),
-        "feature_kinds": list(p.feature_kinds),
-        "cardinalities": list(p.cardinalities),
-        "one_hot": p.one_hot,
-        "window": p.window,
-    }
-
-
-def preprocessor_from_dict(data: dict) -> PreprocessorState:
-    return PreprocessorState(
-        means=np.asarray(data["means"], dtype=np.float64),
-        stds=np.asarray(data["stds"], dtype=np.float64),
-        zero_variance=np.asarray(data["zero_variance"], dtype=bool),
-        feature_kinds=tuple(data["feature_kinds"]),
-        cardinalities=tuple(data["cardinalities"]),
-        one_hot=bool(data["one_hot"]),
-        window=int(data["window"]),
-    )
-
-
-@dataclass(frozen=True)
-class Prediction:
-    label: str  # "malicious" | "benign"
-    score: float
-
-
-MALICIOUS = "malicious"
-BENIGN_LABEL = "benign"
-
-
 def labels_from_scores(scores: np.ndarray) -> np.ndarray:
     # Ties score exactly 0.5 resolve to malicious.
     return np.asarray(scores) >= 0.5

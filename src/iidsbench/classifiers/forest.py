@@ -153,31 +153,3 @@ def forest_scores(trees: list[DecisionTree], X) -> np.ndarray:
     for tree in trees:
         votes += tree_leaf_fractions(tree, X) >= 0.5
     return votes / len(trees)
-
-
-def forest_to_dict(trees: list[DecisionTree]) -> dict:
-    return {
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "fraction": t.fraction.tolist(),
-            }
-            for t in trees
-        ]
-    }
-
-
-def forest_from_dict(data: dict) -> list[DecisionTree]:
-    return [
-        DecisionTree(
-            feature=np.asarray(t["feature"], dtype=np.int64),
-            threshold=np.asarray(t["threshold"], dtype=np.float64),
-            left=np.asarray(t["left"], dtype=np.int64),
-            right=np.asarray(t["right"], dtype=np.int64),
-            fraction=np.asarray(t["fraction"], dtype=np.float64),
-        )
-        for t in data["trees"]
-    ]

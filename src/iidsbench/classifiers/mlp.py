@@ -100,17 +100,3 @@ def mlp_scores(params: MlpParams, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     _, pre = _forward(params, X)
     return sigmoid(pre[-1][:, 0])
-
-
-def mlp_to_dict(params: MlpParams) -> dict:
-    return {
-        "weights": [W.tolist() for W in params.weights],
-        "biases": [b.tolist() for b in params.biases],
-    }
-
-
-def mlp_from_dict(data: dict) -> MlpParams:
-    return MlpParams(
-        weights=[np.asarray(W, dtype=np.float64) for W in data["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in data["biases"]],
-    )

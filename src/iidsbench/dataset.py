@@ -143,13 +143,6 @@ class AttackTaxonomy:
         except KeyError:
             raise TaxonomyError(f"unknown attack type id {attack_type}") from None
 
-    def category_type_counts(self) -> dict[int, int]:
-        """Number of attack types per category id."""
-        counts = {cid: 0 for cid in sorted(self.categories)}
-        for at in self.types.values():
-            counts[at.category] += 1
-        return counts
-
     def unit_ids(self, level: str) -> list[int]:
         if level == LEVEL_ATTACK:
             return sorted(self.types)

@@ -1,5 +1,5 @@
-"""Rendering: recall heatmaps (text, CSV, SVG), baseline-delta tables, and
-the per-scenario precision report.
+"""Rendering: recall heatmaps (text, CSV, SVG) and the per-scenario
+precision report.
 
 Matrices put the baseline row first (labeled "none") and the benign column
 first, with unit rows/columns ascending by id. Undefined cells stay
@@ -246,59 +246,6 @@ def matrix_to_csv(m: MetricsMatrix) -> str:
     for label, row in zip(m.row_labels, m.cells):
         writer.writerow([label, *(UNDEFINED_TEXT if v is None else repr(v) for v in row)])
     return buffer.getvalue()
-
-
-def matrix_from_csv(text: str) -> tuple[list[str], list[str], list[list[float | None]]]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or len(rows[0]) < 2:
-        raise ReportError("empty matrix CSV")
-    col_labels = rows[0][1:]
-    row_labels = []
-    cells = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        row_labels.append(row[0])
-        cells.append([None if cell == UNDEFINED_TEXT else float(cell) for cell in row[1:]])
-    return row_labels, col_labels, cells
-
-
-@dataclass(frozen=True, eq=False)
-class DeltaTable:
-    """Per-cell recall change against the baseline row, in percentage points."""
-
-    classifier: str
-    mode: str
-    level: str
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    deltas: tuple[tuple[float | None, ...], ...]
-
-
-def delta_vs_baseline(m: MetricsMatrix) -> DeltaTable:
-    if None not in m.row_units:
-        raise ReportError("matrix has no baseline row")
-    base = m.cells[m.row_units.index(None)]
-    row_labels = []
-    deltas = []
-    for unit, label, row in zip(m.row_units, m.row_labels, m.cells):
-        if unit is None:
-            continue
-        row_labels.append(label)
-        deltas.append(
-            tuple(
-                None if v is None or b is None else (v - b) * 100.0
-                for v, b in zip(row, base)
-            )
-        )
-    return DeltaTable(
-        classifier=m.classifier,
-        mode=m.mode,
-        level=m.level,
-        row_labels=tuple(row_labels),
-        col_labels=m.col_labels,
-        deltas=tuple(deltas),
-    )
 
 
 def precision_report(artifact) -> list[dict]:

@@ -414,26 +414,40 @@ def artifact_from_dict(data: dict) -> RunArtifact:
     )
 
 
+def _read_stored(path: Path, decode):
+    """Read one JSON file of an output directory and return decode(data). A
+    file that cannot be read, is not UTF-8 JSON, or does not hold the fields
+    decode needs raises RunError naming the file.
+    """
+    try:
+        data = read_json(path)
+    except (OSError, ValueError) as exc:
+        raise RunError(f"unreadable file {path}: {exc}") from exc
+    try:
+        return decode(data)
+    except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise RunError(f"malformed file {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_artifact(output_dir: str | Path) -> RunArtifact:
     path = Path(output_dir) / RUN_FILE
     if not path.exists():
         raise RunError(f"no {RUN_FILE} under {output_dir}")
-    return artifact_from_dict(read_json(path))
+    return _read_stored(path, artifact_from_dict)
 
 
 def _read_existing_cell(path: Path, fingerprint: str, ident: str) -> CellResult:
-    try:
-        data = read_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise RunError(f"unreadable cell file for {ident}: {exc}") from exc
-    if data.get("format_version") != FORMAT_VERSION:
-        raise RunError(f"cell {ident} has unsupported format {data.get('format_version')!r}")
-    if data.get("config_hash") != fingerprint:
-        raise RunError(
-            f"cell {ident} was produced by a different config "
-            f"(stored {data.get('config_hash')!r}, expected {fingerprint!r})"
-        )
-    return _row_from_dict(data)
+    def decode(data: dict) -> CellResult:
+        if data.get("format_version") != FORMAT_VERSION:
+            raise RunError(f"cell {ident} has unsupported format {data.get('format_version')!r}")
+        if data.get("config_hash") != fingerprint:
+            raise RunError(
+                f"cell {ident} was produced by a different config "
+                f"(stored {data.get('config_hash')!r}, expected {fingerprint!r})"
+            )
+        return _row_from_dict(data)
+
+    return _read_stored(path, decode)
 
 
 def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
@@ -442,7 +456,7 @@ def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
 
     config_path = output_dir / CONFIG_FILE
     if config_path.exists():
-        stored = config_from_dict(read_json(config_path))
+        stored = _read_stored(config_path, config_from_dict)
         if config_fingerprint(stored) != fingerprint:
             raise RunError(
                 f"output directory {output_dir} holds a different experiment; "
@@ -537,7 +551,7 @@ def resume(output_dir: str | Path) -> RunArtifact:
     config_path = output_dir / CONFIG_FILE
     if not config_path.exists():
         raise RunError(f"no {CONFIG_FILE} under {output_dir}, nothing to resume")
-    cfg = config_from_dict(read_json(config_path))
+    cfg = _read_stored(config_path, config_from_dict)
     cfg = replace(cfg, output_dir=str(output_dir))
     return _execute(cfg, output_dir)
 

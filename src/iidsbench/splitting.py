@@ -131,15 +131,6 @@ class SplitInstance:
     train_indices: np.ndarray  # sorted, unique
     test_indices: np.ndarray  # sorted, unique
 
-    def to_dict(self) -> dict:
-        """JSON export with sorted index arrays, for audit and diffing."""
-        return {
-            "scenario": self.scenario.to_dict(),
-            "fold": self.fold,
-            "train": self.train_indices.tolist(),
-            "test": self.test_indices.tolist(),
-        }
-
 
 def _unit_mask(d: Dataset, scenario: ScenarioSpec) -> np.ndarray:
     if scenario.level == LEVEL_ATTACK:

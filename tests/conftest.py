@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from iidsbench.dataset import (
     SyntheticConfig,
     generate_synthetic,
 )
+from iidsbench.report import UNDEFINED_TEXT
 
 
 def flat_taxonomy(type_ids: list[int]) -> AttackTaxonomy:
@@ -65,6 +69,15 @@ def separable_config(
         noise_scale=1.0,
         seed=seed,
     )
+
+
+def matrix_from_csv(text: str) -> tuple[list[str], list[str], list[list[float | None]]]:
+    """Parse `report --format csv` output: (row labels, column labels, cells),
+    with "n/a" cells as None.
+    """
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    cells = [[None if cell == UNDEFINED_TEXT else float(cell) for cell in row[1:]] for row in rows[1:]]
+    return [row[0] for row in rows[1:]], rows[0][1:], cells
 
 
 @pytest.fixture

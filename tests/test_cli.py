@@ -11,6 +11,8 @@ import pytest
 from iidsbench.cli import main
 from iidsbench.fileio import read_json
 
+from conftest import matrix_from_csv
+
 SYN_CONFIG = {
     "benign_count": 90,
     "base_dim": 3,
@@ -206,8 +208,6 @@ def test_report_csv_requires_out(finished_run, capsys):
 def test_report_csv_matches_run_json(finished_run, tmp_path):
     dest = tmp_path / "rendered"
     assert main(["report", str(finished_run), "--format", "csv", "--out", str(dest)]) == 0
-    from iidsbench.report import matrix_from_csv
-
     run_data = read_json(finished_run / "run.json")
     matrices = {
         (m["classifier"], m["mode"], m["level"]): m for m in run_data["matrices"]
@@ -238,6 +238,53 @@ def test_compare_stdout(finished_run, capsys):
 def test_compare_missing_artifact_exit_3(finished_run, tmp_path, capsys):
     assert main(["compare", str(finished_run), str(tmp_path / "void")]) == 3
     assert "error" in capsys.readouterr().err
+
+
+CELL = Path("cells") / "forest" / "omit-attack-1" / "0.json"
+
+
+def _edit_values(path: Path, values) -> None:
+    data = read_json(path)
+    if values is None:
+        del data["values"]
+    else:
+        data["values"] = values
+    path.write_text(json.dumps(data))
+
+
+def _truncate(path: Path) -> None:
+    path.write_text(path.read_text()[:40])
+
+
+@pytest.mark.parametrize(
+    "victim, corrupt, command",
+    [
+        pytest.param(CELL, lambda p: p.write_bytes(b"\xff\xfe{}"), "resume", id="cell-not-utf8"),
+        pytest.param(CELL, lambda p: _edit_values(p, None), "resume", id="cell-without-values"),
+        pytest.param(CELL, lambda p: _edit_values(p, {"benign": 1.0}), "resume", id="cell-bad-group"),
+        pytest.param(CELL, lambda p: p.write_text("null"), "resume", id="cell-null"),
+        pytest.param("config.json", _truncate, "resume", id="config-truncated-resume"),
+        pytest.param("config.json", _truncate, "run", id="config-truncated-run"),
+        pytest.param("config.json", lambda p: p.write_text("{}"), "resume", id="config-empty"),
+        pytest.param("run.json", _truncate, "report", id="run-json-truncated-report"),
+        pytest.param("run.json", _truncate, "compare", id="run-json-truncated-compare"),
+    ],
+)
+def test_corrupt_output_file_exit_3(finished_run, tmp_path, capsys, victim, corrupt, command):
+    path = finished_run / victim
+    corrupt(path)
+    capsys.readouterr()
+    if command == "run":
+        cfg = tmp_path / "exp.json"
+        argv = ["run", "--config", str(cfg), "--out", str(finished_run)]
+    elif command == "compare":
+        argv = ["compare", str(finished_run), str(finished_run)]
+    else:
+        argv = [command, str(finished_run)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(path) in err
 
 
 def test_inputs_never_mutated(synth_files, tmp_path):

@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from iidsbench.classifiers.forest import (
-    _best_split,
-    forest_from_dict,
-    forest_scores,
-    forest_to_dict,
-    train_random_forest,
-)
+from iidsbench.classifiers.forest import _best_split, forest_scores, train_random_forest
 
 
 def hp(**overrides):
@@ -98,17 +92,6 @@ def test_deterministic(rng):
     assert (forest_scores(a, probe) == forest_scores(b, probe)).all()
     c = train_random_forest(hp(n_trees=10), x, y, seed=12)
     assert not (forest_scores(a, probe) == forest_scores(c, probe)).all()
-
-
-def test_json_round_trip(rng):
-    x = rng.normal(size=(40, 2))
-    y = x[:, 0] > 0.1
-    y[0] = True
-    y[1] = False
-    forest = train_random_forest(hp(n_trees=4), x, y, seed=4)
-    again = forest_from_dict(forest_to_dict(forest))
-    probe = rng.normal(size=(20, 2))
-    assert (forest_scores(forest, probe) == forest_scores(again, probe)).all()
 
 
 # -- split search against the per-feature reference --------------------------

@@ -11,8 +11,6 @@ import pytest
 from iidsbench.classifiers.base import (
     PreprocessorState,
     fit_preprocessor,
-    preprocessor_from_dict,
-    preprocessor_to_dict,
     transform,
 )
 from iidsbench.dataset import CATEGORICAL, NUMERIC
@@ -111,13 +109,6 @@ def test_categorical_raw_codes_without_one_hot():
     p = fit_preprocessor(x, kinds=("categorical",), cardinalities=(3,), one_hot=False)
     out = transform(p, x)
     assert out[:, 0].tolist() == [0.0, 2.0, 1.0]
-
-
-def test_preprocessor_round_trip(rng):
-    x = rng.normal(size=(20, 3))
-    p = fit_preprocessor(x, window=2)
-    q = preprocessor_from_dict(preprocessor_to_dict(p))
-    assert (transform(p, x) == transform(q, x)).all()
 
 
 def reference_encode(p: PreprocessorState, X: np.ndarray) -> np.ndarray:

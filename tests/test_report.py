@@ -10,8 +10,6 @@ from iidsbench.report import (
     HeatmapSpec,
     MetricsMatrix,
     build_matrix,
-    delta_vs_baseline,
-    matrix_from_csv,
     matrix_to_csv,
     precision_report,
     precision_report_csv,
@@ -20,7 +18,7 @@ from iidsbench.report import (
 )
 from iidsbench.splitting import ScenarioSpec
 
-from conftest import flat_taxonomy
+from conftest import flat_taxonomy, matrix_from_csv
 
 
 def agg(scenario: ScenarioSpec, means: dict, defined=None) -> AggregatedRow:
@@ -151,57 +149,6 @@ def test_csv_round_trip_full_precision():
     assert tuple(col_labels) == m.col_labels
     for parsed, original in zip(cells, m.cells):
         assert tuple(parsed) == original  # exact, not approximate
-
-
-def test_csv_rejects_empty():
-    with pytest.raises(ReportError):
-        matrix_from_csv("")
-
-
-def test_delta_vs_baseline():
-    m = two_unit_matrix()
-    table = delta_vs_baseline(m)
-    assert table.row_labels == ("1.1", "2.1")
-    # 0.937 -> 0.063 is an 87.4-point drop
-    assert table.deltas[0][1] == pytest.approx((0.063 - 0.937) * 100, abs=1e-9)
-    assert table.deltas[1][1] is None  # undefined propagates
-    assert table.deltas[1][2] == pytest.approx(-50.0, abs=1e-9)
-
-
-def test_delta_example_headline_drop():
-    tax = flat_taxonomy([4])
-    baseline = agg(ScenarioSpec("baseline", "attack"), {0: 1.0, 4: 0.903})
-    units = {4: agg(ScenarioSpec("omit", "attack", 4), {0: 1.0, 4: 0.063})}
-    m = build_matrix("c", "omit", "attack", baseline, units, tax)
-    table = delta_vs_baseline(m)
-    assert table.deltas[0][1] == pytest.approx(-84.0, abs=1e-9)
-
-
-def test_delta_identical_rows_zero():
-    tax = flat_taxonomy([1])
-    values = {0: 0.8, 1: 0.6}
-    baseline = agg(ScenarioSpec("baseline", "attack"), values)
-    units = {1: agg(ScenarioSpec("omit", "attack", 1), dict(values))}
-    m = build_matrix("c", "omit", "attack", baseline, units, tax)
-    table = delta_vs_baseline(m)
-    assert all(v == 0.0 for row in table.deltas for v in row)
-
-
-def test_delta_requires_baseline_row():
-    m = two_unit_matrix()
-    no_base = MetricsMatrix(
-        classifier=m.classifier,
-        mode=m.mode,
-        level=m.level,
-        row_units=m.row_units[1:],
-        row_labels=m.row_labels[1:],
-        col_groups=m.col_groups,
-        col_labels=m.col_labels,
-        cells=m.cells[1:],
-        defined_folds=m.defined_folds[1:],
-    )
-    with pytest.raises(ReportError, match="baseline"):
-        delta_vs_baseline(no_base)
 
 
 def test_matrix_dict_round_trip():

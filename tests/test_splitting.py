@@ -221,11 +221,10 @@ def test_split_export_shape():
     d = eight_record_dataset()
     plan = partition_folds(d, 2, "contiguous", 0)
     split = materialize_split(d, plan, 0, ScenarioSpec("omit", "attack", 1))
-    data = split.to_dict()
-    assert data["scenario"] == {"mode": "omit", "level": "attack", "target": 1}
-    assert data["fold"] == 0
-    assert data["train"] == sorted(data["train"])
-    assert data["test"] == sorted(data["test"])
+    assert split.scenario == ScenarioSpec("omit", "attack", 1)
+    assert split.fold == 0
+    for indices in (split.train_indices, split.test_indices):
+        assert indices.tolist() == sorted(indices.tolist())
 
 
 # -- check_split ------------------------------------------------------------

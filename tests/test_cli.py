@@ -130,6 +130,18 @@ def test_unreadable_config_exit_3(tmp_path, capsys, command, fault):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "run"])
+@pytest.mark.parametrize("body", ["[1, 2]", '"config"', "7"])
+def test_config_not_an_object_exit_3(tmp_path, capsys, command, body):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    out = tmp_path / ("data.csv" if command == "synth" else "out")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_synth_writes_taxonomy_sibling(synth_files):
     data, tax = synth_files
     assert data.exists() and tax.exists()

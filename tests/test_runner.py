@@ -104,6 +104,41 @@ def test_config_round_trip(tmp_path):
     assert config_fingerprint(again) == config_fingerprint(cfg)
 
 
+# JSON configs that state only what has no default. The digests were taken
+# before the decoder built configs through their constructors, so they pin
+# where the defaults live as well as what they are.
+MINIMAL_CSV_CONFIG = {"dataset": {"path": "capture.csv"}, "classifiers": [{"kind": "random_forest"}]}
+MINIMAL_SYNTHETIC_CONFIG = {
+    "dataset": {
+        "synthetic": {
+            "benign_count": 40,
+            "base_dim": 2,
+            "attacks": [{"attack_type": 1, "count": 10, "signature_features": [0], "offset": 6}],
+        }
+    },
+    "classifiers": [{"kind": "mlp"}],
+}
+
+
+def test_fingerprint_of_defaults_pinned():
+    assert (
+        config_fingerprint(config_from_dict(MINIMAL_CSV_CONFIG))
+        == "72e494d2509ad07d9cf3a8d590e5eb35c5c48de8ca55d470abcbba19b101439d"
+    )
+    assert (
+        config_fingerprint(config_from_dict(MINIMAL_SYNTHETIC_CONFIG))
+        == "eb81642cbe5f3e3c7cb1fc93266a49ceaf5f31e7e640a4e6822d8eca5cf0ff72"
+    )
+
+
+def test_integer_offset_hashes_as_float():
+    as_float = json.loads(json.dumps(MINIMAL_SYNTHETIC_CONFIG))
+    as_float["dataset"]["synthetic"]["attacks"][0]["offset"] = 6.0
+    assert config_fingerprint(config_from_dict(as_float)) == config_fingerprint(
+        config_from_dict(MINIMAL_SYNTHETIC_CONFIG)
+    )
+
+
 def test_fingerprint_ignores_workers_and_output(tmp_path):
     a = small_config(tmp_path / "a", workers=1)
     b = small_config(tmp_path / "b", workers=8)

@@ -34,7 +34,7 @@ from .errors import (
     TrainError,
 )
 from .metrics import GroupRecallRow, aggregate_folds, confusion, per_group_recall
-from .report import HeatmapSpec, MetricsMatrix, precision_report
+from .report import MetricsMatrix, precision_report
 from .runner import (
     ExperimentConfig,
     RunArtifact,
@@ -67,7 +67,6 @@ __all__ = [
     "FoldPlan",
     "GroupRecallRow",
     "HarnessError",
-    "HeatmapSpec",
     "MetricsMatrix",
     "ReportError",
     "RunArtifact",

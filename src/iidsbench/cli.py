@@ -46,9 +46,7 @@ _REPORT_RENDERERS = {
 
 
 def _load_input_dataset(args: argparse.Namespace):
-    taxonomy = None
-    if args.taxonomy != TAXONOMY_BUILTIN:
-        taxonomy = load_taxonomy(args.taxonomy)
+    taxonomy = load_taxonomy(args.taxonomy)
     return parse_dataset(args.dataset, schema_source=args.schema, taxonomy=taxonomy)
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, TaxonomyError
+from .errors import DatasetError, TaxonomyError, reject_unknown_keys
 from .validation import Violation
 
 NUMERIC = "numeric"
@@ -678,47 +678,39 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
     return Dataset(schema, matrix, label_vec, _synthetic_taxonomy(cfg))
 
 
-def synthetic_config_to_dict(cfg: SyntheticConfig) -> dict:
-    return {
-        "benign_count": cfg.benign_count,
-        "base_dim": cfg.base_dim,
-        "noise_scale": cfg.noise_scale,
-        "seed": cfg.seed,
-        "attacks": [
-            {
-                "attack_type": s.attack_type,
-                "count": s.count,
-                "signature_features": list(s.signature_features),
-                "offset": s.offset,
-                "overlap_group": s.overlap_group,
-                "name": s.name,
-            }
-            for s in cfg.attacks
-        ],
-    }
+def _coerced(cls, coerce: dict, data, where: str):
+    reject_unknown_keys(data, coerce, where)
+    return cls(**{key: coerce[key](value) for key, value in data.items()})
+
+
+# How each JSON field of a synthetic config is coerced, so "offset": 6 and
+# 6.0 make equal configs. Omitted fields take the dataclass defaults.
+_ATTACK_FIELDS = {
+    "attack_type": int,
+    "count": int,
+    "signature_features": lambda values: tuple(int(i) for i in values),
+    "offset": float,
+    "overlap_group": lambda group: None if group is None else int(group),
+    "name": lambda name: name,
+}
+_SYNTHETIC_FIELDS = {
+    "benign_count": int,
+    "attacks": lambda attacks: tuple(
+        _coerced(AttackSpec, _ATTACK_FIELDS, a, "synthetic attack") for a in attacks
+    ),
+    "base_dim": int,
+    "noise_scale": float,
+    "seed": int,
+}
 
 
 def synthetic_config_from_dict(data: dict) -> SyntheticConfig:
+    """Decode the JSON form that `dataclasses.asdict` gives. An unknown key
+    raises ConfigError.
+    """
     try:
-        attacks = tuple(
-            AttackSpec(
-                attack_type=int(a["attack_type"]),
-                count=int(a["count"]),
-                signature_features=tuple(int(i) for i in a["signature_features"]),
-                offset=float(a["offset"]),
-                overlap_group=(None if a.get("overlap_group") is None else int(a["overlap_group"])),
-                name=a.get("name"),
-            )
-            for a in data["attacks"]
-        )
-        cfg = SyntheticConfig(
-            benign_count=int(data["benign_count"]),
-            attacks=attacks,
-            base_dim=int(data["base_dim"]),
-            noise_scale=float(data.get("noise_scale", 1.0)),
-            seed=int(data.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        cfg = _coerced(SyntheticConfig, _SYNTHETIC_FIELDS, data, "synthetic config")
+    except (TypeError, ValueError) as exc:
         raise DatasetError(f"malformed synthetic config: {exc}") from exc
     validate_synthetic_config(cfg)
     return cfg

@@ -1,4 +1,5 @@
-"""Exception types shared across the harness."""
+"""Exception types shared across the harness, and the config key check
+that raises ConfigError."""
 
 
 class HarnessError(Exception):
@@ -31,3 +32,14 @@ class RunError(HarnessError):
 
 class ReportError(HarnessError):
     """Rendering input is malformed."""
+
+
+def reject_unknown_keys(data, known, where: str) -> None:
+    """Raise ConfigError unless data is a JSON object whose keys all lie in
+    known, so a misspelt config key fails instead of falling back to a default.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")

@@ -21,6 +21,8 @@ from .splitting import MODE_BASELINE
 BASELINE_ROW_LABEL = "none"
 BENIGN_COL_LABEL = "benign"
 UNDEFINED_TEXT = "n/a"
+RAMP_LOW = "#fde725"  # recall 0 reads light
+RAMP_HIGH = "#440154"
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,19 +39,6 @@ class MetricsMatrix:
 
     def cell(self, row_unit: int | None, col_group: int) -> float | None:
         return self.cells[self.row_units.index(row_unit)][self.col_groups.index(col_group)]
-
-    def to_dict(self) -> dict:
-        return {
-            "classifier": self.classifier,
-            "mode": self.mode,
-            "level": self.level,
-            "row_units": list(self.row_units),
-            "row_labels": list(self.row_labels),
-            "col_groups": list(self.col_groups),
-            "col_labels": list(self.col_labels),
-            "cells": [list(row) for row in self.cells],
-            "defined_folds": [list(row) for row in self.defined_folds],
-        }
 
     @staticmethod
     def from_dict(data: dict) -> "MetricsMatrix":
@@ -111,29 +100,16 @@ def build_matrix(
     )
 
 
-@dataclass(frozen=True)
-class HeatmapSpec:
-    ramp_low: str = "#fde725"  # low recall reads light
-    ramp_high: str = "#440154"
-    annotate: bool = True
-    undefined_marker: str = UNDEFINED_TEXT
-
-    def __post_init__(self) -> None:
-        if self.ramp_low == self.ramp_high:
-            raise ReportError("color ramp endpoints must be distinct")
-
-
-def _percent(value: float | None, marker: str) -> str:
+def _percent(value: float | None) -> str:
     if value is None:
-        return marker
+        return UNDEFINED_TEXT
     return f"{value * 100:.1f}"
 
 
-def render_text_heatmap(m: MetricsMatrix, spec: HeatmapSpec | None = None) -> str:
-    spec = spec or HeatmapSpec()
+def render_text_heatmap(m: MetricsMatrix) -> str:
     if not m.row_labels or not m.col_labels:
         raise ReportError("empty matrix")
-    texts = [[_percent(v, spec.undefined_marker) for v in row] for row in m.cells]
+    texts = [[_percent(v) for v in row] for row in m.cells]
     col_widths = [
         max(len(m.col_labels[j]), max(len(row[j]) for row in texts)) for j in range(len(m.col_labels))
     ]
@@ -151,15 +127,11 @@ def render_text_heatmap(m: MetricsMatrix, spec: HeatmapSpec | None = None) -> st
 
 
 def _parse_hex(color: str) -> tuple[int, int, int]:
-    color = color.lstrip("#")
-    if len(color) != 6:
-        raise ReportError(f"bad color {color!r}")
-    return int(color[0:2], 16), int(color[2:4], 16), int(color[4:6], 16)
+    return int(color[1:3], 16), int(color[3:5], 16), int(color[5:7], 16)
 
 
-def _ramp_color(spec: HeatmapSpec, value: float) -> str:
-    low = _parse_hex(spec.ramp_low)
-    high = _parse_hex(spec.ramp_high)
+def _ramp_color(value: float) -> str:
+    low, high = _parse_hex(RAMP_LOW), _parse_hex(RAMP_HIGH)
     mixed = tuple(round(lo + (hi - lo) * value) for lo, hi in zip(low, high))
     return "#{:02x}{:02x}{:02x}".format(*mixed)
 
@@ -173,11 +145,10 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_svg_heatmap(m: MetricsMatrix, spec: HeatmapSpec | None = None) -> str:
+def render_svg_heatmap(m: MetricsMatrix) -> str:
     """Hand-emitted SVG: one rect per cell, linear color ramp on recall,
     hatched rects for undefined cells, labels on both axes.
     """
-    spec = spec or HeatmapSpec()
     if not m.row_labels or not m.col_labels:
         raise ReportError("empty matrix")
     cell_w, cell_h = 46, 26
@@ -216,22 +187,21 @@ def render_svg_heatmap(m: MetricsMatrix, spec: HeatmapSpec | None = None) -> str
             y = top + i * cell_h
             if value is None:
                 fill = "url(#undef)"
-                text = spec.undefined_marker
+                text = UNDEFINED_TEXT
                 text_fill = "#444444"
             else:
-                fill = _ramp_color(spec, value)
-                text = _percent(value, spec.undefined_marker)
+                fill = _ramp_color(value)
+                text = _percent(value)
                 text_fill = "#111111" if _luminance(fill) > 0.55 else "#f5f5f5"
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{cell_w}" height="{cell_h}" '
                 f'fill="{fill}" stroke="#ffffff" stroke-width="1"/>'
             )
-            if spec.annotate:
-                parts.append(
-                    f'<text x="{x + cell_w // 2}" y="{y + cell_h // 2 + 4}" '
-                    f'text-anchor="middle" font-size="10" fill="{text_fill}" {font}>'
-                    f"{_esc(text)}</text>"
-                )
+            parts.append(
+                f'<text x="{x + cell_w // 2}" y="{y + cell_h // 2 + 4}" '
+                f'text-anchor="middle" font-size="10" fill="{text_fill}" {font}>'
+                f"{_esc(text)}</text>"
+            )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

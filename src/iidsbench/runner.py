@@ -14,7 +14,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -30,12 +30,11 @@ from .dataset import (
     load_taxonomy,
     parse_dataset,
     synthetic_config_from_dict,
-    synthetic_config_to_dict,
 )
-from .errors import ConfigError, RunError
+from .errors import ConfigError, RunError, reject_unknown_keys
 from .fileio import atomic_write_text, dump_json, read_json
 from .metrics import AggregatedRow, GroupRecallRow, aggregate_folds, per_group_recall
-from .report import MetricsMatrix, build_matrix
+from .report import UNDEFINED_TEXT, MetricsMatrix, build_matrix
 from .splitting import (
     MODE_BASELINE,
     MODE_OMIT,
@@ -83,6 +82,11 @@ class ExperimentConfig:
             raise ConfigError(f"classifier names must be unique, got {names}")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ConfigError("exactly one of dataset_path and synthetic must be set")
+        if self.synthetic is not None and (self.schema_source, self.taxonomy_source) != (
+            SCHEMA_INFER_NUMERIC,
+            TAXONOMY_BUILTIN,
+        ):
+            raise ConfigError("a synthetic dataset takes no schema or taxonomy")
         if self.k < 2:
             raise ConfigError(f"k must be at least 2, got {self.k}")
         if self.strategy not in (STRATEGY_STRATIFIED, STRATEGY_CONTIGUOUS):
@@ -106,31 +110,12 @@ class ExperimentConfig:
         )
 
 
-def _classifier_to_dict(spec: ClassifierSpec) -> dict:
-    params = dict(spec.hyperparameters)
-    if "hidden" in params:
-        params["hidden"] = list(params["hidden"])
-    return {"name": spec.name, "kind": spec.kind, "seed": spec.seed, "hyperparameters": params}
-
-
-def _classifier_from_dict(data: dict) -> ClassifierSpec:
-    try:
-        return ClassifierSpec(
-            kind=data["kind"],
-            hyperparameters=data.get("hyperparameters", {}),
-            seed=data.get("seed", 0),
-            name=data.get("name"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed classifier entry: {exc}") from exc
-
-
 def config_identity(cfg: ExperimentConfig) -> dict:
     """Everything that determines the numbers. Excludes output_dir and
     workers, which only say where and how fast.
     """
     if cfg.synthetic is not None:
-        source: dict = {"synthetic": synthetic_config_to_dict(cfg.synthetic)}
+        source: dict = {"synthetic": asdict(cfg.synthetic)}
     else:
         source = {
             "path": cfg.dataset_path,
@@ -144,44 +129,42 @@ def config_identity(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "levels": list(cfg.levels),
         "modes": list(cfg.modes),
-        "classifiers": [_classifier_to_dict(spec) for spec in cfg.classifiers],
+        "classifiers": [asdict(spec) for spec in cfg.classifiers],
     }
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    data = config_identity(cfg)
-    data["output_dir"] = cfg.output_dir
-    data["workers"] = cfg.workers
-    return data
+    return {**config_identity(cfg), "output_dir": cfg.output_dir, "workers": cfg.workers}
+
+
+# The dataset block's JSON keys and the ExperimentConfig field each sets.
+_DATASET_KEYS = {
+    "path": "dataset_path",
+    "schema": "schema_source",
+    "taxonomy": "taxonomy_source",
+    "synthetic": "synthetic",
+}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Build a config from its JSON form. Omitted keys take the dataclass
+    defaults; an unknown key at any level raises ConfigError.
+    """
+    top_keys = {f.name for f in fields(ExperimentConfig)} - set(_DATASET_KEYS.values())
+    reject_unknown_keys(data, {"dataset", *top_keys}, "experiment config")
+    rest = dict(data)
     try:
-        source = data["dataset"]
-        if "synthetic" in source:
-            dataset_path = None
-            synthetic = synthetic_config_from_dict(source["synthetic"])
-            schema = SCHEMA_INFER_NUMERIC
-            taxonomy = TAXONOMY_BUILTIN
-        else:
-            dataset_path = source["path"]
-            synthetic = None
-            schema = source.get("schema", SCHEMA_INFER_NUMERIC)
-            taxonomy = source.get("taxonomy", TAXONOMY_BUILTIN)
-        return ExperimentConfig(
-            classifiers=tuple(_classifier_from_dict(c) for c in data["classifiers"]),
-            dataset_path=dataset_path,
-            schema_source=schema,
-            taxonomy_source=taxonomy,
-            synthetic=synthetic,
-            k=data.get("k", 5),
-            strategy=data.get("strategy", STRATEGY_STRATIFIED),
-            seed=data.get("seed", 0),
-            levels=tuple(data.get("levels", [LEVEL_ATTACK])),
-            modes=tuple(data.get("modes", list(_MODE_ORDER))),
-            output_dir=data.get("output_dir"),
-            workers=data.get("workers", 1),
-        )
+        source = rest.pop("dataset")
+        reject_unknown_keys(source, _DATASET_KEYS, "dataset block")
+        dataset = {_DATASET_KEYS[key]: value for key, value in source.items()}
+        if "synthetic" in dataset:
+            dataset["synthetic"] = synthetic_config_from_dict(dataset["synthetic"])
+        spec_keys = [f.name for f in fields(ClassifierSpec)]
+        classifiers = []
+        for entry in rest.pop("classifiers"):
+            reject_unknown_keys(entry, spec_keys, "classifier entry")
+            classifiers.append(ClassifierSpec(**entry))
+        return ExperimentConfig(classifiers=tuple(classifiers), **dataset, **rest)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed experiment config: {exc}") from exc
 
@@ -200,10 +183,11 @@ def cell_seed(config_seed: int, classifier_name: str, scenario: ScenarioSpec, fo
 def load_experiment_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.synthetic is not None:
         return generate_synthetic(cfg.synthetic)
-    taxonomy = None
-    if cfg.taxonomy_source != TAXONOMY_BUILTIN:
-        taxonomy = load_taxonomy(cfg.taxonomy_source)
-    return parse_dataset(cfg.dataset_path, schema_source=cfg.schema_source, taxonomy=taxonomy)
+    return parse_dataset(
+        cfg.dataset_path,
+        schema_source=cfg.schema_source,
+        taxonomy=load_taxonomy(cfg.taxonomy_source),
+    )
 
 
 @dataclass(frozen=True)
@@ -290,7 +274,7 @@ def _row_to_dict(result: CellResult) -> dict:
     row = result.row
     return {
         "classifier": result.classifier,
-        "scenario": row.scenario.to_dict(),
+        "scenario": asdict(row.scenario),
         "fold": row.fold,
         "values": {str(g): v for g, v in row.values.items()},
         "precision": row.precision,
@@ -301,7 +285,7 @@ def _row_to_dict(result: CellResult) -> dict:
 
 def _row_from_dict(data: dict) -> CellResult:
     row = GroupRecallRow(
-        scenario=ScenarioSpec.from_dict(data["scenario"]),
+        scenario=ScenarioSpec(**data["scenario"]),
         fold=data["fold"],
         level=data["scenario"]["level"],
         values={int(g): v for g, v in data["values"].items()},
@@ -326,7 +310,7 @@ def _aggregate_to_dict(item: AggregateResult) -> dict:
     row = item.row
     return {
         "classifier": item.classifier,
-        "scenario": row.scenario.to_dict(),
+        "scenario": asdict(row.scenario),
         "values": {str(g): v for g, v in row.group_means.items()},
         "defined_folds": {str(g): n for g, n in row.defined_folds.items()},
         "precision": row.precision,
@@ -336,7 +320,7 @@ def _aggregate_to_dict(item: AggregateResult) -> dict:
 
 
 def _aggregate_from_dict(data: dict) -> AggregateResult:
-    scenario = ScenarioSpec.from_dict(data["scenario"])
+    scenario = ScenarioSpec(**data["scenario"])
     row = AggregatedRow(
         scenario=scenario,
         level=scenario.level,
@@ -394,7 +378,7 @@ def artifact_to_dict(artifact: RunArtifact, timing: bool = True) -> dict:
         "config_hash": artifact.config_hash,
         "rows": [_row_to_dict(result) for result in artifact.rows],
         "aggregates": [_aggregate_to_dict(item) for item in artifact.aggregates],
-        "matrices": [m.to_dict() for m in artifact.matrices],
+        "matrices": [asdict(m) for m in artifact.matrices],
     }
     if timing:
         data["timing"] = artifact.timing
@@ -613,7 +597,7 @@ def compare_to_csv(table: list[dict]) -> str:
         ["classifier", "level", "unit", "unit_label", "omit_recall", "trainer", "only_recall"]
     )
     for row in table:
-        omit = "n/a" if row["omit_recall"] is None else repr(row["omit_recall"])
+        omit = UNDEFINED_TEXT if row["omit_recall"] is None else repr(row["omit_recall"])
         for trainer, value in row["only_recall_by_trainer"].items():
             writer.writerow(
                 [
@@ -623,7 +607,7 @@ def compare_to_csv(table: list[dict]) -> str:
                     row["unit_label"],
                     omit,
                     trainer,
-                    "n/a" if value is None else repr(value),
+                    UNDEFINED_TEXT if value is None else repr(value),
                 ]
             )
     return buffer.getvalue()

@@ -49,24 +49,11 @@ class ScenarioSpec:
             return f"{self.mode}-{self.level}"
         return f"{self.mode}-{self.level}-{self.target}"
 
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "level": self.level, "target": self.target}
-
-    @staticmethod
-    def from_dict(data: dict) -> "ScenarioSpec":
-        return ScenarioSpec(
-            mode=data["mode"],
-            level=data["level"],
-            target=data.get("target"),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class FoldPlan:
     k: int
     assignment: np.ndarray  # per-record fold id, 0..k-1
-    strategy: str
-    seed: int
 
 
 def partition_folds(
@@ -99,7 +86,7 @@ def partition_folds(
             members = rng.permutation(members)
             assignment[members] = (offset + np.arange(len(members))) % k
             offset = (offset + len(members)) % k
-    return FoldPlan(k=k, assignment=assignment, strategy=strategy, seed=seed)
+    return FoldPlan(k=k, assignment=assignment)
 
 
 def enumerate_scenarios(

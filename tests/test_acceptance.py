@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 
@@ -253,7 +252,7 @@ def test_criterion_03_metrics_oracle(announce):
     finish(announce, 3, "metrics oracle (1000 instances, exact)", ok, time.perf_counter() - start, 10.0)
 
 
-def test_criterion_04_classifier_sanity(announce):
+def test_criterion_04_classifier_sanity(announce, tmp_path):
     start = time.perf_counter()
     # balanced classes: the SVM's unregularized bias settles off-center on
     # imbalanced data (see the linear-svm notes in the README)
@@ -279,7 +278,7 @@ def test_criterion_04_classifier_sanity(announce):
         seed=2,
         levels=("attack",),
         modes=("baseline",),
-        output_dir=tempfile.mkdtemp(prefix="iidsbench-c4-"),
+        output_dir=str(tmp_path),
         workers=1,
     )
     artifact = run(cfg)
@@ -325,7 +324,7 @@ def test_criterion_05_mlp_gradient_check(announce):
     finish(announce, 5, f"MLP gradient check (max rel err {worst:.2e})", worst < 1e-3, time.perf_counter() - start, 10.0)
 
 
-def test_criterion_06_unknown_attack_reproduction(announce):
+def test_criterion_06_unknown_attack_reproduction(announce, tmp_path):
     start = time.perf_counter()
     syn = SyntheticConfig(
         benign_count=2000,
@@ -341,7 +340,7 @@ def test_criterion_06_unknown_attack_reproduction(announce):
         seed=6,
         levels=("attack",),
         modes=("baseline", "omit"),
-        output_dir=tempfile.mkdtemp(prefix="iidsbench-c6-"),
+        output_dir=str(tmp_path),
         workers=1,
     )
     artifact = run(cfg)
@@ -360,7 +359,7 @@ def test_criterion_06_unknown_attack_reproduction(announce):
 _OVERLAP_ARTIFACT = None
 
 
-def overlap_artifact():
+def overlap_artifact(tmp_path_factory):
     """Shared by criteria 7 and 8: overlap pair (1,2) + disjoint attack 3."""
     global _OVERLAP_ARTIFACT
     if _OVERLAP_ARTIFACT is None:
@@ -382,16 +381,16 @@ def overlap_artifact():
             seed=8,
             levels=("attack",),
             modes=("baseline", "omit", "only"),
-            output_dir=tempfile.mkdtemp(prefix="iidsbench-c78-"),
+            output_dir=str(tmp_path_factory.mktemp("c78")),
             workers=1,
         )
         _OVERLAP_ARTIFACT = run(cfg)
     return _OVERLAP_ARTIFACT
 
 
-def test_criterion_07_overlap_interrelation(announce):
+def test_criterion_07_overlap_interrelation(announce, tmp_path_factory):
     start = time.perf_counter()
-    artifact = overlap_artifact()
+    artifact = overlap_artifact(tmp_path_factory)
     only = artifact.matrix("forest", "only", "attack")
     ok = True
     # trained on one of the pair: high recall on the sibling, low on the outsider
@@ -406,9 +405,9 @@ def test_criterion_07_overlap_interrelation(announce):
     finish(announce, 7, "overlap pair detected cross-wise (≥0.8 vs ≤0.15)", ok, time.perf_counter() - start, 120.0)
 
 
-def test_criterion_08_compare_consistency(announce):
+def test_criterion_08_compare_consistency(announce, tmp_path_factory):
     start = time.perf_counter()
-    artifact = overlap_artifact()
+    artifact = overlap_artifact(tmp_path_factory)
     table = compare_experiments(artifact, artifact)
     by_unit = {row["unit"]: row for row in table}
     ok = True
@@ -424,7 +423,7 @@ def test_criterion_08_compare_consistency(announce):
     finish(announce, 8, "omit vs only recall within 0.1 on the overlap pair", ok, time.perf_counter() - start, 60.0)
 
 
-def test_criterion_09_determinism(announce):
+def test_criterion_09_determinism(announce, tmp_path):
     start = time.perf_counter()
     syn = SyntheticConfig(
         benign_count=90,
@@ -447,9 +446,8 @@ def test_criterion_09_determinism(announce):
         )
 
     outputs = []
-    base = Path(tempfile.mkdtemp(prefix="iidsbench-c9-"))
     for name, workers in (("a", 1), ("b", 1), ("c", 2)):
-        out = base / name
+        out = tmp_path / name
         run(make(str(out), workers))
         data = read_json(out / "run.json")
         data.pop("timing")

@@ -142,6 +142,17 @@ def test_config_not_an_object_exit_3(tmp_path, capsys, command, body):
     assert not out.exists()
 
 
+def test_unknown_config_key_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    config = {"dataset": {"path": "capture.csv"}, "classifiers": [{"kind": "mlp"}], "worker": 4}
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'worker'" in err
+    assert not out.exists()
+
+
 def test_synth_writes_taxonomy_sibling(synth_files):
     data, tax = synth_files
     assert data.exists() and tax.exists()

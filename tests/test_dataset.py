@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from iidsbench.dataset import (
     load_taxonomy,
     parse_dataset,
     synthetic_config_from_dict,
-    synthetic_config_to_dict,
     taxonomy_to_csv,
     validate_dataset,
     write_dataset,
@@ -390,6 +390,6 @@ def test_synthetic_config_json_round_trip():
         noise_scale=0.5,
         seed=42,
     )
-    assert synthetic_config_from_dict(synthetic_config_to_dict(cfg)) == cfg
+    assert synthetic_config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
     with pytest.raises(DatasetError):
         synthetic_config_from_dict({"benign_count": 10})

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from iidsbench.errors import ReportError
 from iidsbench.metrics import AggregatedRow
 from iidsbench.report import (
-    HeatmapSpec,
     MetricsMatrix,
     build_matrix,
     matrix_to_csv,
@@ -110,11 +112,6 @@ def test_empty_matrix_rejected():
         render_svg_heatmap(m)
 
 
-def test_heatmap_spec_validation():
-    with pytest.raises(ReportError):
-        HeatmapSpec(ramp_low="#aaaaaa", ramp_high="#aaaaaa")
-
-
 def test_svg_one_rect_per_cell():
     m = two_unit_matrix()
     svg = render_svg_heatmap(m)
@@ -125,13 +122,12 @@ def test_svg_one_rect_per_cell():
 
 
 def test_svg_ramp_endpoints():
-    spec = HeatmapSpec(ramp_low="#000000", ramp_high="#ffffff")
     tax = flat_taxonomy([1])
     baseline = agg(ScenarioSpec("baseline", "attack"), {0: 0.0, 1: 1.0})
     m = build_matrix("c", "baseline", "attack", baseline, {}, tax)
-    svg = render_svg_heatmap(m, spec)
-    assert 'fill="#000000"' in svg  # recall 0 -> low endpoint
-    assert 'fill="#ffffff"' in svg  # recall 1 -> high endpoint
+    svg = render_svg_heatmap(m)
+    assert 'fill="#fde725"' in svg  # recall 0 -> low endpoint
+    assert 'fill="#440154"' in svg  # recall 1 -> high endpoint
 
 
 def test_svg_byte_deterministic():
@@ -153,7 +149,7 @@ def test_csv_round_trip_full_precision():
 
 def test_matrix_dict_round_trip():
     m = two_unit_matrix()
-    again = MetricsMatrix.from_dict(m.to_dict())
+    again = MetricsMatrix.from_dict(json.loads(json.dumps(asdict(m))))
     assert again.cells == m.cells
     assert again.row_labels == m.row_labels
     assert again.defined_folds == m.defined_folds

@@ -4,6 +4,7 @@ cross-artifact comparison."""
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,38 @@ def test_integer_offset_hashes_as_float():
     assert config_fingerprint(config_from_dict(as_float)) == config_fingerprint(
         config_from_dict(MINIMAL_SYNTHETIC_CONFIG)
     )
+
+
+def _with(config: dict, edit) -> dict:
+    config = json.loads(json.dumps(config))
+    edit(config)
+    return config
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda c: c.update(worker=4), "worker"),
+        (lambda c: c["dataset"].update(scheme="embedded-gas-pipeline"), "scheme"),
+        (lambda c: c["classifiers"][0].update(hyperparameter={"n_trees": 2}), "hyperparameter"),
+        (lambda c: c["dataset"]["synthetic"].update(noise=0.5), "noise"),
+        (lambda c: c["dataset"]["synthetic"]["attacks"][0].update(group=1), "group"),
+    ],
+    ids=["top", "dataset", "classifier", "synthetic", "attack"],
+)
+def test_unknown_config_key_rejected(edit, key):
+    base = MINIMAL_SYNTHETIC_CONFIG if key in ("noise", "group") else MINIMAL_CSV_CONFIG
+    with pytest.raises(ConfigError, match=f"unknown key.*'{key}'"):
+        config_from_dict(_with(base, edit))
+
+
+def test_dataset_block_takes_one_source():
+    both = _with(MINIMAL_SYNTHETIC_CONFIG, lambda c: c["dataset"].update(path="capture.csv"))
+    with pytest.raises(ConfigError, match="exactly one"):
+        config_from_dict(both)
+    taxonomy = _with(MINIMAL_SYNTHETIC_CONFIG, lambda c: c["dataset"].update(taxonomy="t.csv"))
+    with pytest.raises(ConfigError, match="no schema or taxonomy"):
+        config_from_dict(taxonomy)
 
 
 def test_fingerprint_ignores_workers_and_output(tmp_path):
@@ -342,7 +375,7 @@ def test_load_artifact_round_trip(tmp_path):
     again = load_artifact(out)
     assert again.config_hash == artifact.config_hash
     assert len(again.rows) == len(artifact.rows)
-    assert [m.to_dict() for m in again.matrices] == [m.to_dict() for m in artifact.matrices]
+    assert [asdict(m) for m in again.matrices] == [asdict(m) for m in artifact.matrices]
     with pytest.raises(RunError):
         load_artifact(tmp_path / "nowhere")
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -41,8 +44,8 @@ def test_scenario_key_and_round_trip():
     b = ScenarioSpec("omit", "attack", 3)
     assert a.key() == "baseline-attack"
     assert b.key() == "omit-attack-3"
-    assert ScenarioSpec.from_dict(b.to_dict()) == b
-    assert ScenarioSpec.from_dict(a.to_dict()) == a
+    assert ScenarioSpec(**json.loads(json.dumps(asdict(b)))) == b
+    assert ScenarioSpec(**json.loads(json.dumps(asdict(a)))) == a
 
 
 # -- partition_folds --------------------------------------------------------

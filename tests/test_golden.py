@@ -1,4 +1,4 @@
-"""Golden digests: run.json (timing aside) of four fixed experiments.
+"""Golden digests: run.json (timing aside) of five fixed experiments.
 
 Each test pins the sha256 of the canonical JSON of a finished run, so any
 change to parsing, splitting, preprocessing, training or scoring that moves
@@ -28,6 +28,7 @@ SYNTHETIC_DIGEST = "d74d7253f045b2ce6756f554226f6160fb494cae51b667d4b67798db9a0c
 GAS_CSV_DIGEST = "c4676bd53263be03acc248e4b9f3e9e3ba03f008f923a2a051508c39936493d4"
 FOREST_TIES_DIGEST = "04c319fb71db8159fc26f9e6e2fba583254756ea368e11ca2b9bb2018abb9beb"
 MLP_WINDOWED_DIGEST = "8f84ea8ca981a0af0f371a43bdbe8e01a1aeb84a137a69b35c90ae514900c144"
+ELEVEN_TYPES_DIGEST = "42e7886e8f825e462a86aabcf7fc5c819add5f846f7798cfc2deb39dafd41352"
 
 
 def digest(cfg: ExperimentConfig) -> str:
@@ -59,6 +60,26 @@ def test_golden_synthetic_attack_level(tmp_path):
         output_dir=str(tmp_path / "out"),
     )
     assert digest(cfg) == SYNTHETIC_DIGEST
+
+
+def test_golden_eleven_types_attack_level(tmp_path):
+    # Group ids 10 and 11 sort before 2 as JSON strings but after it as
+    # integers, so this digest pins the key order of every values map.
+    cfg = ExperimentConfig(
+        classifiers=(ClassifierSpec("random_forest", {"n_trees": 2}, name="forest"),),
+        synthetic=SyntheticConfig(
+            benign_count=110,
+            attacks=tuple(AttackSpec(t, 10, (t - 1,), 4.0) for t in range(1, 12)),
+            base_dim=11,
+            seed=23,
+        ),
+        k=2,
+        seed=3,
+        levels=("attack",),
+        modes=("baseline", "omit", "only"),
+        output_dir=str(tmp_path / "out"),
+    )
+    assert digest(cfg) == ELEVEN_TYPES_DIGEST
 
 
 def write_gas_csv(path) -> None:

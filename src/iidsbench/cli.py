@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import runner
 from .dataset import (
+    SCHEMA_INFER_NUMERIC,
     TAXONOMY_BUILTIN,
     dataset_stats,
     generate_synthetic,
@@ -29,12 +30,14 @@ from .dataset import (
 from .errors import ConfigError, DatasetError, HarnessError, TaxonomyError
 from .fileio import atomic_write_text, read_json
 from .report import (
+    compare_to_csv,
     matrix_to_csv,
     precision_report,
     precision_report_csv,
     render_svg_heatmap,
     render_text_heatmap,
 )
+from .splitting import STRATEGIES
 
 OUTPUT_DIR_ENV = "IIDSBENCH_OUTPUT_DIR"
 
@@ -179,7 +182,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     table = runner.compare_experiments(
         runner.load_artifact(args.dir_a), runner.load_artifact(args.dir_b)
     )
-    body = runner.compare_to_csv(table)
+    body = compare_to_csv(table)
     if args.out is None:
         sys.stdout.write(body)
     else:
@@ -197,7 +200,7 @@ def _add_dataset_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--schema",
-        default="infer-numeric",
+        default=SCHEMA_INFER_NUMERIC,
         help="'infer-numeric', 'embedded-gas-pipeline', or path of a schema JSON",
     )
 
@@ -235,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None, help="override the worker count")
     p.add_argument(
         "--strategy",
-        choices=["stratified", "contiguous"],
+        choices=STRATEGIES,
         default=None,
         help="override the fold strategy",
     )

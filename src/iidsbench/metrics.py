@@ -5,11 +5,15 @@ substituted with 0 or 1), and fold averaging runs over the defined folds
 only, reporting how many there were. The malicious class is positive
 everywhere except the benign column, which scores benign traffic as its
 own positive class (tn/(tn+fp)).
+
+GroupRecallRow and AggregatedRow are the `rows` and `aggregates` entries of
+run.json: their fields are the JSON keys, and each constructor also takes
+the JSON form, with the scenario as an object and group ids as strings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +29,6 @@ class ConfusionCounts:
     fp: int
     tn: int
     fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
 
 
 def confusion(predicted, truth) -> ConfusionCounts:
@@ -64,23 +64,32 @@ def f1(p: float | None, r: float | None) -> float | None:
     return 2 * p * r / (p + r)
 
 
+def _from_json(record, *group_maps: str) -> None:
+    """Turn a record's JSON form into its field types in place: the
+    scenario object into a ScenarioSpec, string group ids into integers."""
+    if not isinstance(record.scenario, ScenarioSpec):
+        object.__setattr__(record, "scenario", ScenarioSpec(**record.scenario))
+    for name in group_maps:
+        object.__setattr__(record, name, {int(g): v for g, v in getattr(record, name).items()})
+
+
 @dataclass(frozen=True)
 class GroupRecallRow:
     """Recall per group for one evaluated fold. Groups are the benign column
-    (id 0) plus every unit of the taxonomy at the row's level; a group whose
-    records never appear in the test set holds None.
+    (id 0) plus every unit of the taxonomy at the scenario's level; a group
+    whose records never appear in the test set holds None.
     """
 
-    scenario: ScenarioSpec | None
+    classifier: str
+    scenario: ScenarioSpec
     fold: int
-    level: str
     values: dict[int, float | None]
     precision: float | None
     recall: float | None
     f1: float | None
 
-    def with_context(self, scenario: ScenarioSpec, fold: int) -> "GroupRecallRow":
-        return replace(self, scenario=scenario, fold=fold)
+    def __post_init__(self) -> None:
+        _from_json(self, "values")
 
 
 def per_group_recall(
@@ -88,11 +97,12 @@ def per_group_recall(
     attack_types,
     taxonomy: AttackTaxonomy,
     level: str = LEVEL_ATTACK,
-) -> GroupRecallRow:
+) -> dict:
     """Score one fold's test set. predictions[i] is the binary verdict for
     the record labeled attack_types[i] (True = malicious). Malicious groups
     score the fraction of their records predicted malicious; the benign
-    column scores the fraction of benign records predicted benign.
+    column scores the fraction of benign records predicted benign. Returns
+    the values, precision, recall and f1 fields of the fold's GroupRecallRow.
     """
     if len(predictions) != len(attack_types):
         raise ValueError(
@@ -123,26 +133,26 @@ def per_group_recall(
     counts = confusion(pred, truth)
     p = precision(counts)
     r = recall(counts)
-    return GroupRecallRow(
-        scenario=None,
-        fold=-1,
-        level=level,
-        values=values,
-        precision=p,
-        recall=r,
-        f1=f1(p, r),
-    )
+    return {"values": values, "precision": p, "recall": r, "f1": f1(p, r)}
 
 
 @dataclass(frozen=True)
 class AggregatedRow:
+    """Fold means of one classifier's scenario: values[g] averages group g
+    over the defined_folds[g] folds where it is defined, and precision over
+    precision_folds of the n_folds folds.
+    """
+
+    classifier: str
     scenario: ScenarioSpec
-    level: str
-    group_means: dict[int, float | None]
+    values: dict[int, float | None]
     defined_folds: dict[int, int]
     precision: float | None
     precision_folds: int
     n_folds: int
+
+    def __post_init__(self) -> None:
+        _from_json(self, "values", "defined_folds")
 
 
 def _mean_defined(values: list[float | None]) -> tuple[float | None, int]:
@@ -154,32 +164,31 @@ def _mean_defined(values: list[float | None]) -> tuple[float | None, int]:
 
 def aggregate_folds(rows: list[GroupRecallRow]) -> AggregatedRow:
     """Arithmetic mean over the folds where each value is defined. All rows
-    must belong to one scenario.
+    must belong to one classifier and scenario.
     """
     if not rows:
         raise ValueError("no fold rows to aggregate")
-    scenario = rows[0].scenario
-    if scenario is None:
-        raise ValueError("fold rows lack a scenario")
+    first = rows[0]
     for row in rows[1:]:
-        if row.scenario != scenario:
-            raise ValueError(f"mixed scenarios: {scenario} and {row.scenario}")
-    groups = rows[0].values.keys()
+        if (row.classifier, row.scenario) != (first.classifier, first.scenario):
+            raise ValueError(
+                f"mixed cells: {first.classifier} {first.scenario.key()} "
+                f"and {row.classifier} {row.scenario.key()}"
+            )
+    groups = first.values.keys()
     for row in rows[1:]:
         if row.values.keys() != groups:
             raise ValueError("fold rows disagree on the group set")
 
-    group_means: dict[int, float | None] = {}
+    values: dict[int, float | None] = {}
     defined_folds: dict[int, int] = {}
     for group in groups:
-        mean, count = _mean_defined([row.values[group] for row in rows])
-        group_means[group] = mean
-        defined_folds[group] = count
+        values[group], defined_folds[group] = _mean_defined([row.values[group] for row in rows])
     precision_mean, precision_count = _mean_defined([row.precision for row in rows])
     return AggregatedRow(
-        scenario=scenario,
-        level=rows[0].level,
-        group_means=group_means,
+        classifier=first.classifier,
+        scenario=first.scenario,
+        values=values,
         defined_folds=defined_folds,
         precision=precision_mean,
         precision_folds=precision_count,

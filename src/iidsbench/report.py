@@ -1,5 +1,5 @@
-"""Rendering: recall heatmaps (text, CSV, SVG) and the per-scenario
-precision report.
+"""Rendering: recall heatmaps (text, CSV, SVG), the per-scenario
+precision report and the omit/only comparison table.
 
 Matrices put the baseline row first (labeled "none") and the benign column
 first, with unit rows/columns ascending by id. Undefined cells stay
@@ -37,22 +37,15 @@ class MetricsMatrix:
     cells: tuple[tuple[float | None, ...], ...]
     defined_folds: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        # run.json and build_matrix give lists; the matrix holds tuples
+        for name in ("row_units", "row_labels", "col_groups", "col_labels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("cells", "defined_folds"):
+            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
+
     def cell(self, row_unit: int | None, col_group: int) -> float | None:
         return self.cells[self.row_units.index(row_unit)][self.col_groups.index(col_group)]
-
-    @staticmethod
-    def from_dict(data: dict) -> "MetricsMatrix":
-        return MetricsMatrix(
-            classifier=data["classifier"],
-            mode=data["mode"],
-            level=data["level"],
-            row_units=tuple(data["row_units"]),
-            row_labels=tuple(data["row_labels"]),
-            col_groups=tuple(data["col_groups"]),
-            col_labels=tuple(data["col_labels"]),
-            cells=tuple(tuple(row) for row in data["cells"]),
-            defined_folds=tuple(tuple(row) for row in data["defined_folds"]),
-        )
 
 
 def build_matrix(
@@ -77,7 +70,7 @@ def build_matrix(
     def push(unit: int | None, label: str, row: AggregatedRow) -> None:
         row_units.append(unit)
         row_labels.append(label)
-        cells.append(tuple(row.group_means[g] for g in col_groups))
+        cells.append(tuple(row.values[g] for g in col_groups))
         defined.append(tuple(row.defined_folds[g] for g in col_groups))
 
     if baseline is not None:
@@ -91,12 +84,12 @@ def build_matrix(
         classifier=classifier,
         mode=mode,
         level=level,
-        row_units=tuple(row_units),
-        row_labels=tuple(row_labels),
-        col_groups=tuple(col_groups),
-        col_labels=tuple(col_labels),
-        cells=tuple(cells),
-        defined_folds=tuple(defined),
+        row_units=row_units,
+        row_labels=row_labels,
+        col_groups=col_groups,
+        col_labels=col_labels,
+        cells=cells,
+        defined_folds=defined,
     )
 
 
@@ -223,16 +216,14 @@ def precision_report(artifact) -> list[dict]:
     delta), one per aggregated scenario. Needs the artifact's baseline rows.
     """
     baselines: dict[tuple[str, str], float | None] = {}
-    for item in artifact.aggregates:
-        row: AggregatedRow = item.row
+    for row in artifact.aggregates:
         if row.scenario.mode == MODE_BASELINE:
-            baselines[(item.classifier, row.level)] = row.precision
+            baselines[(row.classifier, row.scenario.level)] = row.precision
     if not baselines:
         raise ReportError("artifact has no baseline scenario")
     table = []
-    for item in artifact.aggregates:
-        row = item.row
-        key = (item.classifier, row.level)
+    for row in artifact.aggregates:
+        key = (row.classifier, row.scenario.level)
         if key not in baselines:
             raise ReportError(f"no baseline precision for classifier {key[0]} at level {key[1]}")
         base = baselines[key]
@@ -240,9 +231,9 @@ def precision_report(artifact) -> list[dict]:
         delta = None if value is None or base is None else value - base
         table.append(
             {
-                "classifier": item.classifier,
+                "classifier": row.classifier,
                 "scenario": row.scenario.key(),
-                "level": row.level,
+                "level": row.scenario.level,
                 "precision": value,
                 "baseline_precision": base,
                 "delta": delta,
@@ -267,4 +258,27 @@ def precision_report_csv(table: list[dict]) -> str:
                 ),
             ]
         )
+    return buffer.getvalue()
+
+
+def compare_to_csv(table: list[dict]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(
+        ["classifier", "level", "unit", "unit_label", "omit_recall", "trainer", "only_recall"]
+    )
+    for row in table:
+        omit = UNDEFINED_TEXT if row["omit_recall"] is None else repr(row["omit_recall"])
+        for trainer, value in row["only_recall_by_trainer"].items():
+            writer.writerow(
+                [
+                    row["classifier"],
+                    row["level"],
+                    row["unit"],
+                    row["unit_label"],
+                    omit,
+                    trainer,
+                    UNDEFINED_TEXT if value is None else repr(value),
+                ]
+            )
     return buffer.getvalue()

@@ -2,6 +2,10 @@
 and scores each one, persists every cell to its own JSON file, and folds the
 results into run.json.
 
+run.json and the cell files are the JSON of the result records: a
+RunArtifact's fields, or a GroupRecallRow's plus config_hash and wall_time,
+each with format_version. _encode writes them and _decode reads them back.
+
 Reruns are reproducible to the byte (timing aside): each cell gets its own
 seed derived by hashing the experiment seed with the cell identity, so
 results do not depend on worker count or execution order. A rerun over an
@@ -31,10 +35,10 @@ from .dataset import (
     parse_dataset,
     synthetic_config_from_dict,
 )
-from .errors import ConfigError, RunError, reject_unknown_keys
+from .errors import ConfigError, RunError, SplitError, reject_unknown_keys
 from .fileio import atomic_write_text, dump_json, read_json
 from .metrics import AggregatedRow, GroupRecallRow, aggregate_folds, per_group_recall
-from .report import UNDEFINED_TEXT, MetricsMatrix, build_matrix
+from .report import MetricsMatrix, build_matrix
 from .splitting import (
     MODE_BASELINE,
     MODE_OMIT,
@@ -43,7 +47,6 @@ from .splitting import (
     STRATEGY_STRATIFIED,
     FoldPlan,
     ScenarioSpec,
-    SplitInstance,
     enumerate_scenarios,
     materialize_split,
     partition_folds,
@@ -213,25 +216,12 @@ def plan_cells(cfg: ExperimentConfig, dataset: Dataset) -> list[CellKey]:
     return cells
 
 
-@dataclass(frozen=True)
-class CellResult:
-    classifier: str
-    row: GroupRecallRow
-    wall_time: float
-
-
-@dataclass(frozen=True)
-class AggregateResult:
-    classifier: str
-    row: AggregatedRow
-
-
 @dataclass(frozen=True, eq=False)
 class RunArtifact:
     config: dict
     config_hash: str
-    rows: tuple[CellResult, ...]
-    aggregates: tuple[AggregateResult, ...]
+    rows: tuple[GroupRecallRow, ...]
+    aggregates: tuple[AggregatedRow, ...]
     matrices: tuple[MetricsMatrix, ...]
     timing: dict = field(default_factory=dict)
 
@@ -245,16 +235,19 @@ class RunArtifact:
         return tuple(sorted({m.classifier for m in self.matrices}))
 
 
-def _compute_cell(dataset: Dataset, plan: FoldPlan, key: CellKey, seed: int) -> CellResult:
+def _compute_cell(
+    dataset: Dataset, plan: FoldPlan, key: CellKey, seed: int
+) -> tuple[GroupRecallRow, float]:
+    """Train and score one cell; return its row and its wall time in seconds."""
     start = time.perf_counter()
     split = materialize_split(dataset, plan, key.fold, key.scenario)
     spec = replace(key.classifier, seed=seed)
     model: TrainedModel = train(spec, split, dataset)
     flags, _ = predict_dataset(model, dataset, split.test_indices)
     test_labels = dataset.labels()[split.test_indices]
-    fragment = per_group_recall(flags, test_labels, dataset.taxonomy, key.scenario.level)
-    row = fragment.with_context(key.scenario, key.fold)
-    return CellResult(key.classifier.name, row, time.perf_counter() - start)
+    scores = per_group_recall(flags, test_labels, dataset.taxonomy, key.scenario.level)
+    row = GroupRecallRow(key.classifier.name, key.scenario, key.fold, **scores)
+    return row, time.perf_counter() - start
 
 
 _POOL_STATE: dict = {}
@@ -265,91 +258,61 @@ def _pool_init(dataset: Dataset, plan: FoldPlan) -> None:
     _POOL_STATE["plan"] = plan
 
 
-def _pool_task(args: tuple[CellKey, int]) -> CellResult:
+def _pool_task(args: tuple[CellKey, int]) -> tuple[GroupRecallRow, float]:
     key, seed = args
     return _compute_cell(_POOL_STATE["dataset"], _POOL_STATE["plan"], key, seed)
 
 
-def _row_to_dict(result: CellResult) -> dict:
-    row = result.row
-    return {
-        "classifier": result.classifier,
-        "scenario": asdict(row.scenario),
-        "fold": row.fold,
-        "values": {str(g): v for g, v in row.values.items()},
-        "precision": row.precision,
-        "recall": row.recall,
-        "f1": row.f1,
-    }
+def _string_keys(obj):
+    if isinstance(obj, dict):
+        return {str(k): _string_keys(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_string_keys(v) for v in obj]
+    return obj
 
 
-def _row_from_dict(data: dict) -> CellResult:
-    row = GroupRecallRow(
-        scenario=ScenarioSpec(**data["scenario"]),
-        fold=data["fold"],
-        level=data["scenario"]["level"],
-        values={int(g): v for g, v in data["values"].items()},
-        precision=data["precision"],
-        recall=data["recall"],
-        f1=data["f1"],
+def _encode(record, **extra) -> dict:
+    """The JSON object of a result record: format_version, the record's
+    fields and extra. Group ids become strings here, before dump_json sorts
+    the keys, so that "10" sorts before "2" as it does when read back.
+    """
+    return _string_keys({"format_version": FORMAT_VERSION, **asdict(record), **extra})
+
+
+def _decode(data: dict, build):
+    """Inverse of _encode: check format_version and call build with the
+    other keys, so that a missing or unknown key raises TypeError."""
+    rest = dict(data)
+    version = rest.pop("format_version", None)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION!r}")
+    return build(**rest)
+
+
+def _artifact(rows, aggregates, matrices, **rest) -> RunArtifact:
+    return RunArtifact(
+        rows=tuple(GroupRecallRow(**row) for row in rows),
+        aggregates=tuple(AggregatedRow(**row) for row in aggregates),
+        matrices=tuple(MetricsMatrix(**m) for m in matrices),
+        **rest,
     )
-    return CellResult(data["classifier"], row, data.get("wall_time", 0.0))
 
 
-def _cell_file_dict(result: CellResult, config_hash: str) -> dict:
-    data = _row_to_dict(result)
-    return {
-        "format_version": FORMAT_VERSION,
-        "config_hash": config_hash,
-        **data,
-        "wall_time": result.wall_time,
-    }
-
-
-def _aggregate_to_dict(item: AggregateResult) -> dict:
-    row = item.row
-    return {
-        "classifier": item.classifier,
-        "scenario": asdict(row.scenario),
-        "values": {str(g): v for g, v in row.group_means.items()},
-        "defined_folds": {str(g): n for g, n in row.defined_folds.items()},
-        "precision": row.precision,
-        "precision_folds": row.precision_folds,
-        "n_folds": row.n_folds,
-    }
-
-
-def _aggregate_from_dict(data: dict) -> AggregateResult:
-    scenario = ScenarioSpec(**data["scenario"])
-    row = AggregatedRow(
-        scenario=scenario,
-        level=scenario.level,
-        group_means={int(g): v for g, v in data["values"].items()},
-        defined_folds={int(g): n for g, n in data["defined_folds"].items()},
-        precision=data["precision"],
-        precision_folds=data["precision_folds"],
-        n_folds=data["n_folds"],
-    )
-    return AggregateResult(data["classifier"], row)
-
-
-def _sort_key(result: CellResult) -> tuple:
-    return (result.classifier, result.row.scenario.key(), result.row.fold)
+def _sort_key(row: GroupRecallRow) -> tuple:
+    return (row.classifier, row.scenario.key(), row.fold)
 
 
 def _assemble(
-    cfg: ExperimentConfig, dataset: Dataset, results: list[CellResult]
-) -> tuple[tuple[AggregateResult, ...], tuple[MetricsMatrix, ...]]:
+    cfg: ExperimentConfig, dataset: Dataset, rows: list[GroupRecallRow]
+) -> tuple[tuple[AggregatedRow, ...], tuple[MetricsMatrix, ...]]:
     by_scenario: dict[tuple[str, str], list[GroupRecallRow]] = {}
-    for result in results:
-        by_scenario.setdefault((result.classifier, result.row.scenario.key()), []).append(
-            result.row
-        )
+    for row in rows:
+        by_scenario.setdefault((row.classifier, row.scenario.key()), []).append(row)
     aggregates = tuple(
-        AggregateResult(name, aggregate_folds(sorted(rows, key=lambda r: r.fold)))
-        for (name, _), rows in sorted(by_scenario.items())
+        aggregate_folds(sorted(folds, key=lambda r: r.fold))
+        for _, folds in sorted(by_scenario.items())
     )
-    lookup = {(item.classifier, item.row.scenario.key()): item.row for item in aggregates}
+    lookup = {(row.classifier, row.scenario.key()): row for row in aggregates}
     matrices = []
     for spec in cfg.classifiers:
         for level in cfg.levels:
@@ -372,30 +335,14 @@ def _assemble(
 
 
 def artifact_to_dict(artifact: RunArtifact, timing: bool = True) -> dict:
-    data = {
-        "format_version": FORMAT_VERSION,
-        "config": artifact.config,
-        "config_hash": artifact.config_hash,
-        "rows": [_row_to_dict(result) for result in artifact.rows],
-        "aggregates": [_aggregate_to_dict(item) for item in artifact.aggregates],
-        "matrices": [asdict(m) for m in artifact.matrices],
-    }
-    if timing:
-        data["timing"] = artifact.timing
+    data = _encode(artifact)
+    if not timing:
+        del data["timing"]
     return data
 
 
 def artifact_from_dict(data: dict) -> RunArtifact:
-    if data.get("format_version") != FORMAT_VERSION:
-        raise RunError(f"unsupported run file format {data.get('format_version')!r}")
-    return RunArtifact(
-        config=data["config"],
-        config_hash=data["config_hash"],
-        rows=tuple(_row_from_dict(row) for row in data["rows"]),
-        aggregates=tuple(_aggregate_from_dict(item) for item in data["aggregates"]),
-        matrices=tuple(MetricsMatrix.from_dict(m) for m in data["matrices"]),
-        timing=data.get("timing", {}),
-    )
+    return _decode(data, _artifact)
 
 
 def _read_stored(path: Path, decode):
@@ -409,7 +356,7 @@ def _read_stored(path: Path, decode):
         raise RunError(f"unreadable file {path}: {exc}") from exc
     try:
         return decode(data)
-    except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, ConfigError, KeyError, SplitError, TypeError, ValueError) as exc:
         raise RunError(f"malformed file {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -420,18 +367,16 @@ def load_artifact(output_dir: str | Path) -> RunArtifact:
     return _read_stored(path, artifact_from_dict)
 
 
-def _read_existing_cell(path: Path, fingerprint: str, ident: str) -> CellResult:
-    def decode(data: dict) -> CellResult:
-        if data.get("format_version") != FORMAT_VERSION:
-            raise RunError(f"cell {ident} has unsupported format {data.get('format_version')!r}")
-        if data.get("config_hash") != fingerprint:
+def _read_existing_cell(path: Path, fingerprint: str, ident: str) -> tuple[GroupRecallRow, float]:
+    def cell(config_hash: str, wall_time: float, **row) -> tuple[GroupRecallRow, float]:
+        if config_hash != fingerprint:
             raise RunError(
                 f"cell {ident} was produced by a different config "
-                f"(stored {data.get('config_hash')!r}, expected {fingerprint!r})"
+                f"(stored {config_hash!r}, expected {fingerprint!r})"
             )
-        return _row_from_dict(data)
+        return GroupRecallRow(**row), wall_time
 
-    return _read_stored(path, decode)
+    return _read_stored(path, lambda data: _decode(data, cell))
 
 
 def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
@@ -454,27 +399,31 @@ def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
     plan = partition_folds(dataset, cfg.k, cfg.strategy, cfg.seed)
     cells = plan_cells(cfg, dataset)
 
-    results: dict[str, CellResult] = {}
+    rows: dict[str, GroupRecallRow] = {}
+    seconds: dict[str, float] = {}
     pending: list[tuple[CellKey, int]] = []
     for key in cells:
         path = output_dir / key.path()
         if path.exists():
-            results[key.path()] = _read_existing_cell(path, fingerprint, key.ident())
+            rows[key.path()], seconds[key.path()] = _read_existing_cell(
+                path, fingerprint, key.ident()
+            )
         else:
             pending.append((key, cell_seed(cfg.seed, key.classifier.name, key.scenario, key.fold)))
 
-    reused = len(results)
+    reused = len(rows)
 
-    def finish(key: CellKey, result: CellResult) -> None:
+    def finish(key: CellKey, row: GroupRecallRow, wall_time: float) -> None:
         path = output_dir / key.path()
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, dump_json(_cell_file_dict(result, fingerprint)))
-        results[key.path()] = result
+        cell = _encode(row, config_hash=fingerprint, wall_time=wall_time)
+        atomic_write_text(path, dump_json(cell))
+        rows[key.path()], seconds[key.path()] = row, wall_time
 
     if cfg.workers == 1 or len(pending) <= 1:
         for key, seed in pending:
             try:
-                finish(key, _compute_cell(dataset, plan, key, seed))
+                finish(key, *_compute_cell(dataset, plan, key, seed))
             except Exception as exc:
                 raise RunError(f"cell {key.ident()} failed: {exc}") from exc
     else:
@@ -492,20 +441,18 @@ def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
             for future in as_completed(futures):
                 key = futures[future]
                 try:
-                    finish(key, future.result())
+                    finish(key, *future.result())
                 except Exception as exc:
                     pool.shutdown(cancel_futures=True)
                     raise RunError(f"cell {key.ident()} failed: {exc}") from exc
 
-    ordered = sorted(results.values(), key=_sort_key)
+    ordered = sorted(rows.values(), key=_sort_key)
     aggregates, matrices = _assemble(cfg, dataset, ordered)
     timing = {
         "total_seconds": time.perf_counter() - total_start,
         "computed_cells": len(pending),
         "reused_cells": reused,
-        "cell_seconds": {
-            key.path(): results[key.path()].wall_time for key in cells
-        },
+        "cell_seconds": {key.path(): seconds[key.path()] for key in cells},
     }
     artifact = RunArtifact(
         config=config_identity(cfg),
@@ -585,29 +532,3 @@ def compare_experiments(a: RunArtifact, b: RunArtifact) -> list[dict]:
                 }
             )
     return table
-
-
-def compare_to_csv(table: list[dict]) -> str:
-    import csv as _csv
-    import io as _io
-
-    buffer = _io.StringIO()
-    writer = _csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["classifier", "level", "unit", "unit_label", "omit_recall", "trainer", "only_recall"]
-    )
-    for row in table:
-        omit = UNDEFINED_TEXT if row["omit_recall"] is None else repr(row["omit_recall"])
-        for trainer, value in row["only_recall_by_trainer"].items():
-            writer.writerow(
-                [
-                    row["classifier"],
-                    row["level"],
-                    row["unit"],
-                    row["unit_label"],
-                    omit,
-                    trainer,
-                    UNDEFINED_TEXT if value is None else repr(value),
-                ]
-            )
-    return buffer.getvalue()

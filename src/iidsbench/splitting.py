@@ -10,11 +10,11 @@ fold, in all three modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import BENIGN, LEVEL_ATTACK, LEVEL_CATEGORY, LEVELS, AttackTaxonomy, Dataset
+from .dataset import LEVEL_ATTACK, LEVELS, AttackTaxonomy, Dataset
 from .errors import SplitError
 from .validation import Violation
 
@@ -197,14 +197,14 @@ def check_split(
         unit = _unit_mask(d, s.scenario)
         for idx in np.flatnonzero(unit & train).tolist():
             findings.append(
-                Violation("omit", f"target-unit record present in train set", idx)
+                Violation("omit", "target-unit record present in train set", idx)
             )
     elif s.scenario.mode == MODE_ONLY:
         unit = _unit_mask(d, s.scenario)
         stray = d.binary_labels() & ~unit & train
         for idx in np.flatnonzero(stray).tolist():
             findings.append(
-                Violation("only", f"malicious record outside target unit in train set", idx)
+                Violation("only", "malicious record outside target unit in train set", idx)
             )
 
     if plan is not None:

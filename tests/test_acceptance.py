@@ -205,11 +205,11 @@ def test_criterion_03_metrics_oracle(announce):
         for g in (1, 2, 3):
             members = [i for i, t in enumerate(labels) if t == g]
             expected = None if not members else sum(pred[i] for i in members) / len(members)
-            if row.values[g] != expected:
+            if row["values"][g] != expected:
                 ok = False
         benign = [i for i, t in enumerate(labels) if t == 0]
         expected = None if not benign else sum(not pred[i] for i in benign) / len(benign)
-        if row.values[0] != expected:
+        if row["values"][0] != expected:
             ok = False
         instances += 1
 
@@ -227,9 +227,9 @@ def test_criterion_03_metrics_oracle(announce):
             folds.append({"values": values, "precision": prec})
             rows.append(
                 GroupRecallRow(
+                    classifier="forest",
                     scenario=scen,
                     fold=fold,
-                    level="attack",
                     values=dict(values),
                     precision=prec,
                     recall=1.0,
@@ -240,7 +240,7 @@ def test_criterion_03_metrics_oracle(announce):
         for g in (0, 1, 2):
             defined = [f["values"][g] for f in folds if f["values"][g] is not None]
             expected = sum(defined) / len(defined) if defined else None
-            if agg.group_means[g] != expected or agg.defined_folds[g] != len(defined):
+            if agg.values[g] != expected or agg.defined_folds[g] != len(defined):
                 ok = False
         defined_p = [f["precision"] for f in folds if f["precision"] is not None]
         expected_p = sum(defined_p) / len(defined_p) if defined_p else None
@@ -289,9 +289,7 @@ def test_criterion_04_classifier_sanity(announce, tmp_path):
         if benign_recall is None or benign_recall < 0.99:
             ok = False
         fold_recalls = [
-            r.row.recall
-            for r in artifact.rows
-            if r.classifier == name and r.row.recall is not None
+            r.recall for r in artifact.rows if r.classifier == name and r.recall is not None
         ]
         malicious_recall = sum(fold_recalls) / len(fold_recalls)
         if malicious_recall < 0.99:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -266,13 +265,13 @@ def test_compare_missing_artifact_exit_3(finished_run, tmp_path, capsys):
 CELL = Path("cells") / "forest" / "omit-attack-1" / "0.json"
 
 
-def _edit_values(path: Path, values) -> None:
-    data = read_json(path)
-    if values is None:
-        del data["values"]
-    else:
-        data["values"] = values
-    path.write_text(json.dumps(data))
+def _edit_json(edit):
+    def corrupt(path: Path) -> None:
+        data = read_json(path)
+        edit(data)
+        path.write_text(json.dumps(data))
+
+    return corrupt
 
 
 def _truncate(path: Path) -> None:
@@ -283,14 +282,30 @@ def _truncate(path: Path) -> None:
     "victim, corrupt, command",
     [
         pytest.param(CELL, lambda p: p.write_bytes(b"\xff\xfe{}"), "resume", id="cell-not-utf8"),
-        pytest.param(CELL, lambda p: _edit_values(p, None), "resume", id="cell-without-values"),
-        pytest.param(CELL, lambda p: _edit_values(p, {"benign": 1.0}), "resume", id="cell-bad-group"),
+        pytest.param(
+            CELL, _edit_json(lambda d: d.pop("values")), "resume", id="cell-without-values"
+        ),
+        pytest.param(
+            CELL,
+            _edit_json(lambda d: d.update(values={"benign": 1.0})),
+            "resume",
+            id="cell-bad-group",
+        ),
+        pytest.param(
+            CELL, _edit_json(lambda d: d.update(extra=1)), "resume", id="cell-unknown-key"
+        ),
         pytest.param(CELL, lambda p: p.write_text("null"), "resume", id="cell-null"),
         pytest.param("config.json", _truncate, "resume", id="config-truncated-resume"),
         pytest.param("config.json", _truncate, "run", id="config-truncated-run"),
         pytest.param("config.json", lambda p: p.write_text("{}"), "resume", id="config-empty"),
         pytest.param("run.json", _truncate, "report", id="run-json-truncated-report"),
         pytest.param("run.json", _truncate, "compare", id="run-json-truncated-compare"),
+        pytest.param(
+            "run.json",
+            _edit_json(lambda d: d["aggregates"][0].pop("n_folds")),
+            "report",
+            id="run-json-aggregate-without-n-folds",
+        ),
     ],
 )
 def test_corrupt_output_file_exit_3(finished_run, tmp_path, capsys, victim, corrupt, command):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from iidsbench.metrics import (
@@ -23,7 +22,6 @@ from conftest import flat_taxonomy, tiny_dataset
 def test_confusion_enumerated():
     c = confusion([True, True, False, False], [True, False, False, True])
     assert (c.tp, c.fp, c.tn, c.fn) == (1, 1, 1, 1)
-    assert c.total == 4
 
 
 def test_confusion_all_correct():
@@ -87,17 +85,17 @@ def test_permutation_invariance(rng):
 def test_per_group_recall_example():
     d = tiny_dataset([3, 3, 3, 3], taxonomy=flat_taxonomy([3]))
     row = per_group_recall([True, True, True, False], d.labels(), d.taxonomy, "attack")
-    assert row.values[3] == 0.75
-    assert row.values[0] is None  # no benign records in test
+    assert row["values"][3] == 0.75
+    assert row["values"][0] is None  # no benign records in test
 
 
 def test_per_group_recall_absent_group_undefined():
     tax = flat_taxonomy([1, 5])
     d = tiny_dataset([0, 0, 1, 1], taxonomy=tax)
     row = per_group_recall([False, True, True, True], d.labels(), tax, "attack")
-    assert row.values[5] is None
-    assert row.values[1] == 1.0
-    assert row.values[0] == 0.5  # benign: 1 of 2 kept benign
+    assert row["values"][5] is None
+    assert row["values"][1] == 1.0
+    assert row["values"][0] == 0.5  # benign: 1 of 2 kept benign
 
 
 def test_per_group_recall_benign_column():
@@ -105,18 +103,17 @@ def test_per_group_recall_benign_column():
     d = tiny_dataset([0, 0, 0, 1], taxonomy=tax)
     # 2 of 3 benign records correctly left benign
     row = per_group_recall([False, True, False, True], d.labels(), tax, "attack")
-    assert row.values[0] == 2 / 3
-    assert row.precision == 0.5
-    assert row.recall == 1.0
+    assert row["values"][0] == 2 / 3
+    assert row["precision"] == 0.5
+    assert row["recall"] == 1.0
 
 
 def test_per_group_recall_category_level():
     tax = flat_taxonomy([1, 2])
     d = tiny_dataset([0, 1, 2, 2], taxonomy=tax)
     row = per_group_recall([False, True, False, True], d.labels(), tax, "category")
-    assert row.level == "category"
-    assert row.values[1] == 1.0
-    assert row.values[2] == 0.5
+    assert row["values"][1] == 1.0
+    assert row["values"][2] == 0.5
 
 
 def test_per_group_recall_matches_brute_force(rng):
@@ -129,13 +126,13 @@ def test_per_group_recall_matches_brute_force(rng):
     for g in (1, 2, 3):
         members = [i for i, t in enumerate(labels) if t == g]
         if not members:
-            assert row.values[g] is None
+            assert row["values"][g] is None
         else:
             hits = sum(pred[i] for i in members)
-            assert row.values[g] == hits / len(members)
+            assert row["values"][g] == hits / len(members)
     benign = [i for i, t in enumerate(labels) if t == 0]
     kept = sum(not pred[i] for i in benign)
-    assert row.values[0] == kept / len(benign)
+    assert row["values"][0] == kept / len(benign)
 
 
 def test_overall_recall_is_weighted_group_mean(rng):
@@ -144,8 +141,8 @@ def test_overall_recall_is_weighted_group_mean(rng):
     d = tiny_dataset(labels, taxonomy=tax)
     pred = rng.integers(0, 2, len(labels)).astype(bool).tolist()
     row = per_group_recall(pred, d.labels(), tax, "attack")
-    weighted = (7 * row.values[1] + 13 * row.values[2]) / 20
-    assert row.recall == pytest.approx(weighted, abs=1e-12)
+    weighted = (7 * row["values"][1] + 13 * row["values"][2]) / 20
+    assert row["recall"] == pytest.approx(weighted, abs=1e-12)
 
 
 def test_perfect_predictor():
@@ -154,8 +151,8 @@ def test_perfect_predictor():
     d = tiny_dataset(labels, taxonomy=tax)
     pred = [t != 0 for t in labels]
     row = per_group_recall(pred, d.labels(), tax, "attack")
-    assert row.values == {0: 1.0, 1: 1.0, 2: 1.0}
-    assert row.precision == 1.0 and row.recall == 1.0 and row.f1 == 1.0
+    assert row["values"] == {0: 1.0, 1: 1.0, 2: 1.0}
+    assert row["precision"] == 1.0 and row["recall"] == 1.0 and row["f1"] == 1.0
 
 
 # -- aggregate_folds ---------------------------------------------------------
@@ -163,9 +160,9 @@ def test_perfect_predictor():
 
 def row_with(values, scenario, fold, precision_=1.0):
     return GroupRecallRow(
+        classifier="forest",
         scenario=scenario,
         fold=fold,
-        level=scenario.level,
         values=values,
         precision=precision_,
         recall=1.0,
@@ -180,8 +177,8 @@ def test_aggregate_example_values():
     folds = [0.9, 1.0, 0.8, 1.0, 0.9]
     rows = [row_with({0: 1.0, 1: v}, SC, i) for i, v in enumerate(folds)]
     agg = aggregate_folds(rows)
-    assert agg.group_means[1] == sum(folds) / 5
-    assert agg.group_means[1] == pytest.approx(0.92, abs=1e-12)
+    assert agg.values[1] == sum(folds) / 5
+    assert agg.values[1] == pytest.approx(0.92, abs=1e-12)
     assert agg.defined_folds[1] == 5
     assert agg.n_folds == 5
 
@@ -193,14 +190,14 @@ def test_aggregate_skips_undefined():
         row_with({1: 1.0}, SC, 2),
     ]
     agg = aggregate_folds(rows)
-    assert agg.group_means[1] == 0.75
+    assert agg.values[1] == 0.75
     assert agg.defined_folds[1] == 2
 
 
 def test_aggregate_all_undefined_stays_undefined():
     rows = [row_with({1: None}, SC, i) for i in range(3)]
     agg = aggregate_folds(rows)
-    assert agg.group_means[1] is None
+    assert agg.values[1] is None
     assert agg.defined_folds[1] == 0
 
 
@@ -220,8 +217,8 @@ def test_aggregate_random_oracle(rng):
         values = rng.uniform(0, 1, 5).tolist()
         rows = [row_with({1: v, 2: None}, SC, i) for i, v in enumerate(values)]
         agg = aggregate_folds(rows)
-        assert agg.group_means[1] == sum(values) / len(values)
-        assert agg.group_means[2] is None
+        assert agg.values[1] == sum(values) / len(values)
+        assert agg.values[2] is None
 
 
 def test_aggregate_mixed_scenarios_rejected():

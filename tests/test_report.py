@@ -25,9 +25,9 @@ from conftest import flat_taxonomy, matrix_from_csv
 
 def agg(scenario: ScenarioSpec, means: dict, defined=None) -> AggregatedRow:
     return AggregatedRow(
+        classifier="forest",
         scenario=scenario,
-        level=scenario.level,
-        group_means=means,
+        values=means,
         defined_folds=defined or {g: (0 if v is None else 2) for g, v in means.items()},
         precision=0.9,
         precision_folds=2,
@@ -149,7 +149,7 @@ def test_csv_round_trip_full_precision():
 
 def test_matrix_dict_round_trip():
     m = two_unit_matrix()
-    again = MetricsMatrix.from_dict(json.loads(json.dumps(asdict(m))))
+    again = MetricsMatrix(**json.loads(json.dumps(asdict(m))))
     assert again.cells == m.cells
     assert again.row_labels == m.row_labels
     assert again.defined_folds == m.defined_folds
@@ -158,22 +158,16 @@ def test_matrix_dict_round_trip():
 # -- precision report --------------------------------------------------------
 
 
-class FakeItem:
-    def __init__(self, classifier, row):
-        self.classifier = classifier
-        self.row = row
-
-
 class FakeArtifact:
-    def __init__(self, items):
-        self.aggregates = items
+    def __init__(self, rows):
+        self.aggregates = rows
 
 
 def prec_row(scenario, value):
     return AggregatedRow(
+        classifier="c",
         scenario=scenario,
-        level=scenario.level,
-        group_means={0: 1.0},
+        values={0: 1.0},
         defined_folds={0: 2},
         precision=value,
         precision_folds=0 if value is None else 2,
@@ -184,9 +178,7 @@ def prec_row(scenario, value):
 def test_precision_report_deltas():
     base = ScenarioSpec("baseline", "attack")
     omitted = ScenarioSpec("omit", "attack", 1)
-    artifact = FakeArtifact(
-        [FakeItem("c", prec_row(base, 0.95)), FakeItem("c", prec_row(omitted, 0.93))]
-    )
+    artifact = FakeArtifact([prec_row(base, 0.95), prec_row(omitted, 0.93)])
     table = precision_report(artifact)
     by_scenario = {r["scenario"]: r for r in table}
     assert by_scenario["baseline-attack"]["delta"] == 0.0
@@ -195,7 +187,7 @@ def test_precision_report_deltas():
 
 
 def test_precision_report_baseline_only():
-    artifact = FakeArtifact([FakeItem("c", prec_row(ScenarioSpec("baseline", "attack"), 0.9))])
+    artifact = FakeArtifact([prec_row(ScenarioSpec("baseline", "attack"), 0.9)])
     table = precision_report(artifact)
     assert len(table) == 1
     assert table[0]["delta"] == 0.0
@@ -204,9 +196,7 @@ def test_precision_report_baseline_only():
 def test_precision_report_undefined_entries():
     base = ScenarioSpec("baseline", "attack")
     omitted = ScenarioSpec("omit", "attack", 1)
-    artifact = FakeArtifact(
-        [FakeItem("c", prec_row(base, None)), FakeItem("c", prec_row(omitted, None))]
-    )
+    artifact = FakeArtifact([prec_row(base, None), prec_row(omitted, None)])
     table = precision_report(artifact)
     assert all(r["precision"] is None and r["delta"] is None for r in table)
     text = precision_report_csv(table)
@@ -214,6 +204,6 @@ def test_precision_report_undefined_entries():
 
 
 def test_precision_report_requires_baseline():
-    artifact = FakeArtifact([FakeItem("c", prec_row(ScenarioSpec("omit", "attack", 1), 0.9))])
+    artifact = FakeArtifact([prec_row(ScenarioSpec("omit", "attack", 1), 0.9)])
     with pytest.raises(ReportError, match="baseline"):
         precision_report(artifact)

@@ -4,21 +4,24 @@ cross-artifact comparison."""
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from iidsbench import runner
 from iidsbench.classifiers import ClassifierSpec
 from iidsbench.dataset import AttackSpec, SyntheticConfig
 from iidsbench.errors import ConfigError, RunError
-from iidsbench.fileio import read_json
+from iidsbench.fileio import dump_json, read_json
+from iidsbench.report import compare_to_csv
 from iidsbench.runner import (
     ExperimentConfig,
     _read_existing_cell,
+    artifact_to_dict,
     cell_seed,
     compare_experiments,
-    compare_to_csv,
     config_fingerprint,
     config_from_dict,
     config_to_dict,
@@ -302,6 +305,43 @@ def test_resume_recomputes_only_missing(tmp_path):
     assert artifact.timing["reused_cells"] == 9
 
 
+def without_timing(path: Path) -> str:
+    """The text of run.json up to its last key, timing."""
+    text = (path / "run.json").read_text()
+    return text[: text.index('\n  "timing": ')]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_interrupted_run_resumes_to_same_results(tmp_path, monkeypatch, seed):
+    reference = tmp_path / "reference"
+    run(small_config(reference))
+    total = len(list((reference / "cells").rglob("*.json")))
+    finished = random.Random(seed).randrange(total)
+    compute = runner._compute_cell
+    budget = 0
+
+    def interrupted(*args):
+        nonlocal budget
+        if budget == 0:
+            raise KeyboardInterrupt
+        budget -= 1
+        return compute(*args)
+
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        budget = finished
+        monkeypatch.setattr(runner, "_compute_cell", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(small_config(out))
+        monkeypatch.setattr(runner, "_compute_cell", compute)
+        assert len(list((out / "cells").rglob("*.json"))) == finished
+        config = read_json(out / "config.json")
+        config["workers"] = workers
+        (out / "config.json").write_text(json.dumps(config))
+        assert resume(out).timing["computed_cells"] == total - finished
+        assert without_timing(out) == without_timing(reference)
+
+
 def test_resume_complete_directory_trains_nothing(tmp_path):
     out = tmp_path / "out"
     run(small_config(out))
@@ -365,8 +405,8 @@ def test_parallel_failure_names_cell_and_keeps_readable_cells(tmp_path):
     assert (out / "INCOMPLETE").exists()
     fingerprint = config_fingerprint(cfg)
     for path in (out / "cells").rglob("*.json"):
-        cell = _read_existing_cell(path, fingerprint, str(path))
-        assert cell.classifier == "forest"
+        row, _ = _read_existing_cell(path, fingerprint, str(path))
+        assert row.classifier == "forest"
 
 
 def test_load_artifact_round_trip(tmp_path):
@@ -376,6 +416,9 @@ def test_load_artifact_round_trip(tmp_path):
     assert again.config_hash == artifact.config_hash
     assert len(again.rows) == len(artifact.rows)
     assert [asdict(m) for m in again.matrices] == [asdict(m) for m in artifact.matrices]
+    # decoding rows, aggregates and matrices and encoding them again
+    # gives back run.json byte for byte
+    assert dump_json(artifact_to_dict(again)) == (out / "run.json").read_text()
     with pytest.raises(RunError):
         load_artifact(tmp_path / "nowhere")
 

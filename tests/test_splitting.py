@@ -11,7 +11,6 @@ import pytest
 from iidsbench.dataset import builtin_taxonomy
 from iidsbench.errors import SplitError
 from iidsbench.splitting import (
-    FoldPlan,
     ScenarioSpec,
     SplitInstance,
     check_split,

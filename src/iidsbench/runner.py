@@ -341,10 +341,6 @@ def artifact_to_dict(artifact: RunArtifact, timing: bool = True) -> dict:
     return data
 
 
-def artifact_from_dict(data: dict) -> RunArtifact:
-    return _decode(data, _artifact)
-
-
 def _read_stored(path: Path, decode):
     """Read one JSON file of an output directory and return decode(data). A
     file that cannot be read, is not UTF-8 JSON, or does not hold the fields
@@ -364,7 +360,7 @@ def load_artifact(output_dir: str | Path) -> RunArtifact:
     path = Path(output_dir) / RUN_FILE
     if not path.exists():
         raise RunError(f"no {RUN_FILE} under {output_dir}")
-    return _read_stored(path, artifact_from_dict)
+    return _read_stored(path, lambda data: _decode(data, _artifact))
 
 
 def _read_existing_cell(path: Path, fingerprint: str, ident: str) -> tuple[GroupRecallRow, float]:

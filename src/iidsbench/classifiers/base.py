@@ -157,20 +157,31 @@ def fit_preprocessor(
 
 
 def _encode(p: PreprocessorState, X: np.ndarray, out: np.ndarray) -> None:
-    """Write the encoded rows of X into out, a zeroed (len(X), encoded_width) matrix."""
-    col = 0
-    for j, kind in enumerate(p.feature_kinds):
-        if kind == CATEGORICAL and p.one_hot:
-            card = p.cardinalities[j]
-            codes = np.clip(X[:, j].astype(np.int64), 0, card)
-            out[np.arange(len(X)), col + codes] = 1.0
-            col += card + 1
-        else:
-            if kind == NUMERIC and not p.zero_variance[j]:
-                out[:, col] = (X[:, j] - p.means[j]) / p.stds[j]
-            else:
-                out[:, col] = X[:, j]
-            col += 1
+    """Write the encoded rows of X into out, a zeroed (len(X), encoded_width)
+    matrix, in one pass per kind of output column. The plain columns, one per
+    numeric feature and per categorical feature without one_hot, take one
+    broadcast (X - shift) / scale. shift and scale are the fitted mean and std,
+    or 0 and 1 for categorical and zero-variance features, whose values thus
+    pass through bit for bit. The one-hot columns take one scatter of the
+    clipped codes of all categorical features.
+    """
+    one_hot = np.array([p.one_hot and kind == CATEGORICAL for kind in p.feature_kinds])
+    widths = np.where(one_hot, np.asarray(p.cardinalities) + 1, 1)
+    starts = np.cumsum(widths) - widths
+    scaled = np.array([kind == NUMERIC for kind in p.feature_kinds]) & ~p.zero_variance
+    shift = np.where(scaled, p.means, 0.0)
+    scale = np.where(scaled, p.stds, 1.0)
+    if not one_hot.any():
+        np.subtract(X, shift, out=out)
+        out /= scale
+        return
+    plain = ~one_hot
+    out[:, starts[plain]] = (X[:, plain] - shift[plain]) / scale[plain]
+    # codes past the book clip to the last, unknown slot
+    codes = X[:, one_hot].astype(np.int64)
+    np.clip(codes, 0, widths[one_hot] - 1, out=codes)
+    codes += starts[one_hot]
+    out[np.arange(len(X))[:, None], codes] = 1.0
 
 
 def transform(p: PreprocessorState, features, rows=None) -> np.ndarray:

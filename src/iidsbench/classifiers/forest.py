@@ -9,13 +9,19 @@ fraction of their samples; a tree votes malicious when the reached leaf's
 fraction is >= 0.5, and the forest score is the fraction of trees voting
 malicious.
 
-A tree grows on a feature-major (F x n) copy of its bootstrap sample, so
-each candidate feature is one contiguous row. A node sorts all its drawn
-features with one argsort along the rows, scores every cut position of
-every row at once, and takes one row-major argmin. The sort need not be
-stable: a cut is scored only where a run of equal values ends, and the
-count of malicious rows up to there is the same whatever the order inside
-the run (float sums of 0/1 are exact).
+A tree grows on the distinct rows of its bootstrap sample, each weighted
+by its draw count, held as a feature-major (F x distinct rows) matrix so
+that each candidate feature is one contiguous row. About 1 - 1/e of the
+rows are distinct, so every node array is about a third shorter than the
+sample. A node sorts all its drawn features with one argsort along the
+rows, takes weighted cumulative sums of the draw counts and the malicious
+draw counts, scores every cut position of every row at once, and takes one
+row-major argmin. The counts are whole numbers in float64, so they, the
+node sizes and the leaf fractions are exactly those of the sample with its
+repeated rows, and so is every tree. The sort need not be stable: a cut is
+scored only where a run of equal values ends, and the counts up to there
+are the same whatever the order inside the run (float sums of whole
+numbers are exact).
 """
 
 from __future__ import annotations
@@ -45,45 +51,48 @@ def _weighted_gini(count, pos):
     return pos
 
 
-def _best_split(Xt, y, idx, rng, m_try, min_leaf):
+def _best_split(Xt, w, pos, idx, rng, m_try, min_leaf):
+    """The best (feature, threshold) of the node holding the distinct rows
+    idx, or None if no cut leaves min_leaf draws on each side. w[i] is the
+    draw count of row i and pos[i] its malicious draws (w[i] or 0).
+    """
     feats = rng.choice(Xt.shape[0], size=m_try, replace=False)
-    n = len(idx)
-    yv = y[idx]
+    wv, pv = w[idx], pos[idx]
+    n = wv.sum()
     sv = Xt[feats[:, None], idx]
     order = np.argsort(sv, axis=1)
     sv = np.take_along_axis(sv, order, axis=1)
-    # column b scores the cut after sorted position b, which sends b + 1 rows left
-    pos_l = np.cumsum(yv[order], axis=1, dtype=np.float64)[:, :-1]
+    # column b scores the cut after sorted position b, which sends n_l draws left
+    n_l = np.cumsum(wv[order], axis=1)[:, :-1]
+    pos_l = np.cumsum(pv[order], axis=1)[:, :-1]
     del order
-    pos_r = yv.sum() - pos_l
-    n_l = np.arange(1, n, dtype=np.float64)
+    pos_r = pv.sum() - pos_l
+    n_r = n - n_l
     cost = _weighted_gini(n_l, pos_l)
-    cost += _weighted_gini(n - n_l, pos_r)
+    cost += _weighted_gini(n_r, pos_r)
     cost /= n
-    cost[~(sv[:, :-1] < sv[:, 1:])] = np.inf
-    cost[:, : min_leaf - 1] = np.inf
-    cost[:, n - min_leaf :] = np.inf
+    cost[~(sv[:, :-1] < sv[:, 1:]) | (n_l < min_leaf) | (n_r < min_leaf)] = np.inf
     i, b = np.unravel_index(np.argmin(cost), cost.shape)
     if cost[i, b] == np.inf:
         return None
     return int(feats[i]), float((sv[i, b] + sv[i, b + 1]) / 2.0)
 
 
-def _grow_tree(Xt, y, rng, max_depth, min_leaf, m_try) -> DecisionTree:
+def _grow_tree(Xt, w, pos, rng, max_depth, min_leaf, m_try) -> DecisionTree:
     leaf = [-1, 0.0, -1, -1, 0.0]  # feature, threshold, left, right, fraction
     nodes = [list(leaf)]
-    stack = [(np.arange(len(y)), 0, 0)]
+    stack = [(np.arange(len(w)), 0, 0)]
     while stack:
         idx, depth, slot = stack.pop()
-        pos = int(y[idx].sum())
-        nodes[slot][4] = pos / len(idx)
-        if pos == 0 or pos == len(idx):
+        size, malicious = w[idx].sum(), pos[idx].sum()
+        nodes[slot][4] = malicious / size
+        if malicious == 0 or malicious == size:
             continue
         if max_depth is not None and depth >= max_depth:
             continue
-        if len(idx) < 2 * min_leaf:
+        if size < 2 * min_leaf:
             continue
-        split = _best_split(Xt, y, idx, rng, m_try, min_leaf)
+        split = _best_split(Xt, w, pos, idx, rng, m_try, min_leaf)
         if split is None:
             continue
         f, thr = split
@@ -102,29 +111,37 @@ def _grow_tree(Xt, y, rng, max_depth, min_leaf, m_try) -> DecisionTree:
     )
 
 
+def _bootstrap(X, y, rng):
+    """Draw a bootstrap sample (same size as the train set, with replacement)
+    and return its distinct rows as a feature-major matrix, with the draw
+    count and the malicious draw count of each.
+    """
+    n = len(y)
+    draws = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    rows = np.flatnonzero(draws)
+    w = draws[rows].astype(np.float64)
+    # gathered 1024 rows at a time so that no second full-size copy is ever live
+    Xt = np.empty((X.shape[1], len(rows)))
+    for start in range(0, len(rows), 1024):
+        Xt[:, start : start + 1024] = X[rows[start : start + 1024]].T
+    return Xt, w, np.where(y[rows], w, 0.0)
+
+
 def train_random_forest(hyperparameters: dict, X, y, seed: int) -> list[DecisionTree]:
-    """Grow n_trees trees, each on a bootstrap resample (same size as the
-    train set, drawn with replacement). Tree i trains under its own RNG
-    derived from (seed, i), so tree-level work could be parallelized without
-    changing the result.
+    """Grow n_trees trees, each on its own bootstrap sample. Tree i trains
+    under its own RNG derived from (seed, i), so tree-level work could be
+    parallelized without changing the result.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=bool)
-    n = len(y)
     m_try = sqrt_feature_count(X.shape[1])
     trees = []
     for i in range(hyperparameters["n_trees"]):
         rng = np.random.default_rng((seed, i))
-        boot = rng.integers(0, n, size=n)
-        # feature-major bootstrap, gathered 1024 rows at a time so that no
-        # second full-size copy is ever live
-        Xt = np.empty((X.shape[1], n))
-        for start in range(0, n, 1024):
-            Xt[:, start : start + 1024] = X[boot[start : start + 1024]].T
+        # no reference to a sample outlives its tree, which keeps peak memory down
         trees.append(
             _grow_tree(
-                Xt,
-                y[boot],
+                *_bootstrap(X, y, rng),
                 rng,
                 hyperparameters["max_depth"],
                 hyperparameters["min_leaf"],

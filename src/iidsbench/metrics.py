@@ -14,6 +14,7 @@ the JSON form, with the scenario as an object and group ids as strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -64,6 +65,16 @@ def f1(p: float | None, r: float | None) -> float | None:
     return 2 * p * r / (p + r)
 
 
+def check_metrics(values, where: str) -> None:
+    """Raise TypeError unless every value is None (undefined) or a real
+    number, so that a damaged result file fails when it is read rather than
+    when it is rendered. bool is rejected although Python counts it as one.
+    """
+    for value in values:
+        if value is not None and (isinstance(value, bool) or not isinstance(value, Real)):
+            raise TypeError(f"{where} must be numbers or null, got {value!r}")
+
+
 def _from_json(record, *group_maps: str) -> None:
     """Turn a record's JSON form into its field types in place: the
     scenario object into a ScenarioSpec, string group ids into integers."""
@@ -90,6 +101,7 @@ class GroupRecallRow:
 
     def __post_init__(self) -> None:
         _from_json(self, "values")
+        check_metrics([*self.values.values(), self.precision, self.recall, self.f1], "row values")
 
 
 def per_group_recall(
@@ -153,6 +165,7 @@ class AggregatedRow:
 
     def __post_init__(self) -> None:
         _from_json(self, "values", "defined_folds")
+        check_metrics([*self.values.values(), self.precision], "aggregate values")
 
 
 def _mean_defined(values: list[float | None]) -> tuple[float | None, int]:

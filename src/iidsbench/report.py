@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .dataset import AttackTaxonomy
 from .errors import ReportError
-from .metrics import AggregatedRow
+from .metrics import AggregatedRow, check_metrics
 from .splitting import MODE_BASELINE
 
 BASELINE_ROW_LABEL = "none"
@@ -43,6 +43,8 @@ class MetricsMatrix:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("cells", "defined_folds"):
             object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
+        for row in self.cells:
+            check_metrics(row, "matrix cells")
 
     def cell(self, row_unit: int | None, col_group: int) -> float | None:
         return self.cells[self.row_units.index(row_unit)][self.col_groups.index(col_group)]

@@ -306,6 +306,30 @@ def _truncate(path: Path) -> None:
             "report",
             id="run-json-aggregate-without-n-folds",
         ),
+        pytest.param(
+            "run.json",
+            _edit_json(lambda d: d["matrices"][0]["cells"][0].__setitem__(0, "abc")),
+            "report",
+            id="run-json-cell-string",
+        ),
+        pytest.param(
+            "run.json",
+            _edit_json(lambda d: d["rows"][0]["values"].update({"0": True})),
+            "report",
+            id="run-json-row-value-bool",
+        ),
+        pytest.param(
+            "run.json",
+            _edit_json(lambda d: d["aggregates"][0].update(precision=[0.5])),
+            "compare",
+            id="run-json-aggregate-precision-list",
+        ),
+        pytest.param(
+            CELL,
+            _edit_json(lambda d: d["values"].update({"1": "0.5"})),
+            "resume",
+            id="cell-value-string",
+        ),
     ],
 )
 def test_corrupt_output_file_exit_3(finished_run, tmp_path, capsys, victim, corrupt, command):

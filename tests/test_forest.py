@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from iidsbench.classifiers.forest import _best_split, forest_scores, train_random_forest
+from iidsbench.classifiers.forest import (
+    _best_split,
+    _grow_tree,
+    forest_scores,
+    train_random_forest,
+)
 
 
 def hp(**overrides):
@@ -149,7 +154,10 @@ def assert_same_split(X, y, idx, seed, m_try, min_leaf):
     ref_rng = np.random.default_rng(seed)
     new_rng = np.random.default_rng(seed)
     ref = reference_best_split(X, y, idx, ref_rng, m_try, min_leaf)
-    new = _best_split(np.ascontiguousarray(X.T), y, idx, new_rng, m_try, min_leaf)
+    ones = np.ones(len(y))
+    new = _best_split(
+        np.ascontiguousarray(X.T), ones, np.where(y, ones, 0.0), idx, new_rng, m_try, min_leaf
+    )
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
     if ref is None:
         assert new is None
@@ -192,3 +200,77 @@ def test_best_split_none_without_valid_cut():
     # column 0 is constant; column 1's one cut leaves a single row on one side
     assert assert_same_split(X, y, idx, 0, 2, 2) is None
     assert assert_same_split(X, y, idx, 0, 2, 1) == (1, 0.5)
+
+
+# -- distinct rows weighted by draw count against the repeated rows ----------
+
+
+def assert_same_weighted_split(X, y, draws, idx, seed, m_try, min_leaf):
+    """_best_split over the distinct rows idx, row i weighted by draws[i],
+    against reference_best_split over the same rows each repeated draws[i]
+    times."""
+    row_of = np.repeat(np.arange(len(X)), draws)
+    ref_rng = np.random.default_rng(seed)
+    new_rng = np.random.default_rng(seed)
+    ref = reference_best_split(
+        X[row_of], y[row_of], np.flatnonzero(np.isin(row_of, idx)), ref_rng, m_try, min_leaf
+    )
+    w = draws.astype(np.float64)
+    new = _best_split(
+        np.ascontiguousarray(X.T), w, np.where(y, w, 0.0), idx, new_rng, m_try, min_leaf
+    )
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+    if ref is None:
+        assert new is None
+    else:
+        assert new is not None
+        assert new[0] == ref[0]
+        assert np.float64(new[1]).tobytes() == np.float64(ref[1]).tobytes()
+    return new
+
+
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+def test_weighted_best_split_matches_repeated_rows(min_leaf):
+    rng = np.random.default_rng(100 + min_leaf)
+    found = 0
+    for trial in range(60):
+        n_rows, n_features = 30, int(rng.integers(4, 10))
+        X = tied_matrix(rng, n_rows, n_features)
+        y = rng.random(n_rows) < rng.uniform(0.1, 0.9)
+        draws = rng.integers(1, 5, n_rows)
+        # from a couple of distinct rows up to all of them
+        size = int(rng.integers(2, n_rows + 1))
+        if trial % 3 == 0:
+            size = int(rng.integers(2, 5))
+        idx = np.sort(rng.choice(n_rows, size=size, replace=False))
+        m_try = int(rng.integers(1, n_features + 1))
+        found += assert_same_weighted_split(X, y, draws, idx, trial, m_try, min_leaf) is not None
+    assert found > 30
+
+
+def test_weighted_best_split_signed_zero_threshold():
+    X = np.array([[-0.5], [0.0], [-0.0], [0.0], [-0.0]])
+    y = np.array([True, False, False, False, False])
+    draws = np.array([2, 1, 3, 1, 2])
+    assert assert_same_weighted_split(X, y, draws, np.arange(5), 0, 1, 1) == (0, -0.25)
+    # two draws of the one malicious row meet min_leaf 2 on the left
+    assert assert_same_weighted_split(X, y, draws, np.arange(5), 0, 1, 2) == (0, -0.25)
+    assert assert_same_weighted_split(X, y, draws, np.arange(5), 0, 1, 3) is None
+
+
+@pytest.mark.parametrize("min_leaf", [1, 2])
+def test_tree_over_distinct_rows_equals_tree_over_bootstrap(min_leaf):
+    rng = np.random.default_rng(7)
+    X = tied_matrix(rng, 80, 6)
+    y = rng.random(80) < 0.4
+    hyper = {"n_trees": 1, "max_depth": None, "min_leaf": min_leaf}
+    tree = train_random_forest(hyper, X, y, seed=min_leaf)[0]
+    rng = np.random.default_rng((min_leaf, 0))
+    boot = rng.integers(0, 80, 80)
+    ones = np.ones(80)
+    expected = _grow_tree(
+        np.ascontiguousarray(X[boot].T), ones, np.where(y[boot], ones, 0.0), rng, None, min_leaf, 2
+    )
+    assert len(tree.feature) > 3
+    for name in ("feature", "threshold", "left", "right", "fraction"):
+        assert getattr(tree, name).tobytes() == getattr(expected, name).tobytes()

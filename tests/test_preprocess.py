@@ -112,24 +112,23 @@ def test_categorical_raw_codes_without_one_hot():
 
 
 def reference_encode(p: PreprocessorState, X: np.ndarray) -> np.ndarray:
-    """One array per column, stacked: the column loop transform is checked against."""
-    columns = []
+    """The column loop _encode replaced, one numpy pass per feature: the
+    oracle transform is checked against."""
+    out = np.zeros((len(X), p.encoded_width), dtype=np.float64)
+    col = 0
     for j, kind in enumerate(p.feature_kinds):
-        col = X[:, j]
-        if kind == NUMERIC:
-            if p.zero_variance[j]:
-                columns.append(col[:, None])
-            else:
-                columns.append(((col - p.means[j]) / p.stds[j])[:, None])
-        elif p.one_hot:
+        if kind == CATEGORICAL and p.one_hot:
             card = p.cardinalities[j]
-            codes = np.clip(col.astype(np.int64), 0, card)
-            block = np.zeros((len(col), card + 1), dtype=np.float64)
-            block[np.arange(len(col)), codes] = 1.0
-            columns.append(block)
+            codes = np.clip(X[:, j].astype(np.int64), 0, card)
+            out[np.arange(len(X)), col + codes] = 1.0
+            col += card + 1
         else:
-            columns.append(col[:, None])
-    return np.hstack(columns)
+            if kind == NUMERIC and not p.zero_variance[j]:
+                out[:, col] = (X[:, j] - p.means[j]) / p.stds[j]
+            else:
+                out[:, col] = X[:, j]
+            col += 1
+    return out
 
 
 def reference_transform(p: PreprocessorState, X: np.ndarray) -> np.ndarray:
@@ -189,3 +188,22 @@ def test_transform_rows_match_reference(rng, window, one_hot):
         assert out.tobytes() == expected[rows].tobytes()
     whole = transform(p, X)
     assert whole.shape == expected.shape and whole.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("one_hot", [True, False])
+@pytest.mark.parametrize("window", [1, 3])
+def test_transform_keeps_special_values_of_reference(rng, window, one_hot):
+    # outside the fitted rows 5..29: signed zeros in every column, infinities
+    # in the numeric ones, so pass-through columns must keep their bits
+    X, kinds, cards = mixed_capture(rng)
+    X[[0, 2, 31, 35], :] = -0.0
+    X[[1, 33], :] = 0.0
+    X[[3, 36], 0] = np.inf
+    X[[4, 37], 1] = -np.inf
+    X[[30, 38], 4] = np.inf
+    p = fit_preprocessor(X[5:30], window, kinds, cards, one_hot)
+    assert p.zero_variance.tolist() == [False, True, False, False, False]
+    assert np.signbit(reference_encode(p, X)[0]).any()
+    expected = reference_transform(p, X)
+    for rows in (np.arange(len(X)), np.array([38, 0, 2, 31, 4, 2, 17, 30, 1], dtype=np.int64)):
+        assert transform(p, X, rows).tobytes() == expected[rows].tobytes()

@@ -9,7 +9,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dataset import CATEGORICAL, NUMERIC
-from ..errors import ConfigError, TrainError
+from ..errors import (
+    ConfigError,
+    TrainError,
+    check_int,
+    check_ints,
+    check_real,
+    check_text,
+    reject_unknown_keys,
+)
 
 KIND_FOREST = "random_forest"
 KIND_SVM = "linear_svm"
@@ -31,35 +39,6 @@ DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
 }
 
 
-def _require_positive_int(hyper: dict, key: str) -> None:
-    value = hyper[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"hyperparameter {key} must be a positive integer, got {value!r}")
-
-
-def _validate_hyperparameters(kind: str, hyper: dict) -> None:
-    _require_positive_int(hyper, "window")
-    if kind == KIND_FOREST:
-        _require_positive_int(hyper, "n_trees")
-        _require_positive_int(hyper, "min_leaf")
-        if hyper["max_depth"] is not None:
-            _require_positive_int(hyper, "max_depth")
-    elif kind == KIND_SVM:
-        _require_positive_int(hyper, "epochs")
-        if not hyper["lambda"] > 0:
-            raise ConfigError(f"hyperparameter lambda must be positive, got {hyper['lambda']!r}")
-    else:
-        _require_positive_int(hyper, "epochs")
-        _require_positive_int(hyper, "batch_size")
-        if not hyper["learning_rate"] > 0:
-            raise ConfigError(
-                f"hyperparameter learning_rate must be positive, got {hyper['learning_rate']!r}"
-            )
-        hidden = hyper["hidden"]
-        if not all(isinstance(h, int) and h >= 1 for h in hidden):
-            raise ConfigError(f"hyperparameter hidden must hold positive integers, got {hidden!r}")
-
-
 @dataclass(frozen=True)
 class ClassifierSpec:
     """One detector configuration. Hyperparameters are merged over the
@@ -75,18 +54,26 @@ class ClassifierSpec:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown classifier kind {self.kind!r}")
         merged = dict(DEFAULT_HYPERPARAMETERS[self.kind])
-        unknown = set(self.hyperparameters) - set(merged)
-        if unknown:
-            raise ConfigError(f"unknown hyperparameters for {self.kind}: {sorted(unknown)}")
+        reject_unknown_keys(self.hyperparameters, merged, f"{self.kind} hyperparameters")
         merged.update(self.hyperparameters)
-        if "hidden" in merged:
-            merged["hidden"] = tuple(merged["hidden"])
-        _validate_hyperparameters(self.kind, merged)
+        # Values pass through as given (an integer lambda stays one) except
+        # hidden, a tuple; any other key must hold a positive integer.
+        for key, value in merged.items():
+            where = f"hyperparameter {key}"
+            if key == "hidden":
+                merged[key] = check_ints(value, where, 1)
+            elif key in ("lambda", "learning_rate"):
+                check_real(value, where, positive=True)
+            elif not (key == "max_depth" and value is None):
+                check_int(value, where, 1)
         object.__setattr__(self, "hyperparameters", merged)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        check_int(self.seed, "classifier seed", 0)
         if self.name is None:
             object.__setattr__(self, "name", self.kind)
+        # the name is a directory of the output, so it must be one path component
+        name = check_text(self.name, "classifier name")
+        if name in (".", "..") or any(sep in name for sep in "/\\\0"):
+            raise ConfigError(f"classifier name must be a single path component, got {self.name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +126,7 @@ def fit_preprocessor(
         cardinalities = (0,) * n_features
     if len(kinds) != n_features or len(cardinalities) != n_features:
         raise ValueError("kinds/cardinalities do not match feature arity")
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
+    check_int(window, "window", 1)
     numeric = np.array([k == NUMERIC for k in kinds])
     means = np.where(numeric, X.mean(axis=0), 0.0)
     stds = np.where(numeric, X.std(axis=0), 1.0)

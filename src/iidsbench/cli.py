@@ -111,15 +111,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = runner.config_from_dict(_read_config(args.config))
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.k is not None:
-        overrides["k"] = args.k
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.strategy is not None:
-        overrides["strategy"] = args.strategy
+    flags = {"seed": args.seed, "k": args.k, "workers": args.workers, "strategy": args.strategy}
+    overrides = {name: value for name, value in flags.items() if value is not None}
     output_dir = args.out or cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV)
     if output_dir is None:
         raise ConfigError(

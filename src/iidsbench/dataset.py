@@ -17,12 +17,20 @@ from __future__ import annotations
 import csv
 import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, TaxonomyError, reject_unknown_keys
+from .errors import (
+    DatasetError,
+    TaxonomyError,
+    check_int,
+    check_ints,
+    check_real,
+    check_text,
+    reject_unknown_keys,
+)
 from .validation import Violation
 
 NUMERIC = "numeric"
@@ -591,6 +599,24 @@ class AttackSpec:
     overlap_group: int | None = None
     name: str | None = None
 
+    def __post_init__(self) -> None:
+        # offset becomes a float, so that "offset": 6 and 6.0 make equal configs
+        check_int(self.attack_type, "attack_type", 1, error=DatasetError)
+        where = f"attack {self.attack_type}"
+        check_int(self.count, f"{where} count", 1, error=DatasetError)
+        features = check_ints(
+            self.signature_features, f"{where} signature_features", 0, error=DatasetError
+        )
+        if not features or len(set(features)) != len(features):
+            raise DatasetError(f"{where} signature_features must be non-empty and distinct")
+        object.__setattr__(self, "signature_features", features)
+        offset = check_real(self.offset, f"{where} offset", error=DatasetError)
+        object.__setattr__(self, "offset", float(offset))
+        if self.overlap_group is not None:
+            check_int(self.overlap_group, f"{where} overlap_group", 0, error=DatasetError)
+        if self.name is not None:
+            check_text(self.name, f"{where} name", error=DatasetError)
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -600,40 +626,23 @@ class SyntheticConfig:
     noise_scale: float = 1.0
     seed: int = 0
 
-
-def validate_synthetic_config(cfg: SyntheticConfig) -> None:
-    if cfg.benign_count < 1:
-        raise DatasetError(f"benign_count must be positive, got {cfg.benign_count}")
-    if cfg.base_dim < 1:
-        raise DatasetError(f"base_dim must be positive, got {cfg.base_dim}")
-    if not cfg.noise_scale > 0:
-        raise DatasetError(f"noise_scale must be positive, got {cfg.noise_scale}")
-    if not cfg.attacks:
-        raise DatasetError("attacks must list at least one attack population")
-    seen_ids = set()
-    group_signatures: dict[int, tuple[int, ...]] = {}
-    for spec in cfg.attacks:
-        if spec.attack_type < 1:
-            raise DatasetError(f"attack_type must be positive, got {spec.attack_type}")
-        if spec.attack_type in seen_ids:
-            raise DatasetError(f"duplicate attack_type {spec.attack_type}")
-        seen_ids.add(spec.attack_type)
-        if spec.count < 1:
-            raise DatasetError(f"attack {spec.attack_type}: count must be positive")
-        if not spec.signature_features:
-            raise DatasetError(f"attack {spec.attack_type}: signature_features is empty")
-        signature = tuple(sorted(spec.signature_features))
-        if len(set(signature)) != len(signature):
-            raise DatasetError(f"attack {spec.attack_type}: duplicate signature feature")
-        if signature[0] < 0 or signature[-1] >= cfg.base_dim:
-            raise DatasetError(
-                f"attack {spec.attack_type}: signature feature out of range 0..{cfg.base_dim - 1}"
-            )
-        if spec.overlap_group is not None:
-            previous = group_signatures.setdefault(spec.overlap_group, signature)
-            if previous != signature:
+    def __post_init__(self) -> None:
+        check_int(self.benign_count, "benign_count", 1, error=DatasetError)
+        check_int(self.base_dim, "base_dim", 1, error=DatasetError)
+        noise = check_real(self.noise_scale, "noise_scale", positive=True, error=DatasetError)
+        object.__setattr__(self, "noise_scale", float(noise))
+        check_int(self.seed, "synthetic seed", 0, error=DatasetError)
+        types = [spec.attack_type for spec in self.attacks]
+        if not types or len(set(types)) != len(types):
+            raise DatasetError(f"attacks must be non-empty, without duplicate attack_type: {types}")
+        group_signatures: dict[int, list[int]] = {}
+        for spec in self.attacks:
+            signature, group = sorted(spec.signature_features), spec.overlap_group
+            if signature[-1] >= self.base_dim:
+                raise DatasetError(f"attack {spec.attack_type}: signature feature past base_dim")
+            if group is not None and group_signatures.setdefault(group, signature) != signature:
                 raise DatasetError(
-                    f"attack {spec.attack_type}: overlap_group {spec.overlap_group} "
+                    f"attack {spec.attack_type}: overlap_group {group} "
                     "members must share identical signature features"
                 )
 
@@ -656,7 +665,6 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
     assembled records are shuffled into a seed-determined interleaved order.
     Pure function of cfg: equal configs produce identical datasets.
     """
-    validate_synthetic_config(cfg)
     rng = np.random.default_rng(cfg.seed)
     blocks = [rng.normal(0.0, cfg.noise_scale, (cfg.benign_count, cfg.base_dim))]
     labels = [np.zeros(cfg.benign_count, dtype=np.int64)]
@@ -678,39 +686,15 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
     return Dataset(schema, matrix, label_vec, _synthetic_taxonomy(cfg))
 
 
-def _coerced(cls, coerce: dict, data, where: str):
-    reject_unknown_keys(data, coerce, where)
-    return cls(**{key: coerce[key](value) for key, value in data.items()})
-
-
-# How each JSON field of a synthetic config is coerced, so "offset": 6 and
-# 6.0 make equal configs. Omitted fields take the dataclass defaults.
-_ATTACK_FIELDS = {
-    "attack_type": int,
-    "count": int,
-    "signature_features": lambda values: tuple(int(i) for i in values),
-    "offset": float,
-    "overlap_group": lambda group: None if group is None else int(group),
-    "name": lambda name: name,
-}
-_SYNTHETIC_FIELDS = {
-    "benign_count": int,
-    "attacks": lambda attacks: tuple(
-        _coerced(AttackSpec, _ATTACK_FIELDS, a, "synthetic attack") for a in attacks
-    ),
-    "base_dim": int,
-    "noise_scale": float,
-    "seed": int,
-}
-
-
 def synthetic_config_from_dict(data: dict) -> SyntheticConfig:
     """Decode the JSON form that `dataclasses.asdict` gives. An unknown key
     raises ConfigError.
     """
+    reject_unknown_keys(data, [f.name for f in fields(SyntheticConfig)], "synthetic config")
     try:
-        cfg = _coerced(SyntheticConfig, _SYNTHETIC_FIELDS, data, "synthetic config")
-    except (TypeError, ValueError) as exc:
+        for entry in data["attacks"]:
+            reject_unknown_keys(entry, [f.name for f in fields(AttackSpec)], "synthetic attack")
+        attacks = tuple(AttackSpec(**entry) for entry in data["attacks"])
+        return SyntheticConfig(**{**data, "attacks": attacks})
+    except (KeyError, TypeError) as exc:
         raise DatasetError(f"malformed synthetic config: {exc}") from exc
-    validate_synthetic_config(cfg)
-    return cfg

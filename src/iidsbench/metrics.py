@@ -14,11 +14,11 @@ the JSON form, with the scenario as an object and group ids as strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .dataset import BENIGN, LEVEL_ATTACK, AttackTaxonomy
+from .errors import check_real
 from .splitting import ScenarioSpec
 
 BENIGN_GROUP = 0
@@ -66,13 +66,12 @@ def f1(p: float | None, r: float | None) -> float | None:
 
 
 def check_metrics(values, where: str) -> None:
-    """Raise TypeError unless every value is None (undefined) or a real
+    """Raise TypeError unless every value is None (undefined) or a finite
     number, so that a damaged result file fails when it is read rather than
-    when it is rendered. bool is rejected although Python counts it as one.
-    """
+    when it is rendered."""
     for value in values:
-        if value is not None and (isinstance(value, bool) or not isinstance(value, Real)):
-            raise TypeError(f"{where} must be numbers or null, got {value!r}")
+        if value is not None:
+            check_real(value, where, error=TypeError)
 
 
 def _from_json(record, *group_maps: str) -> None:

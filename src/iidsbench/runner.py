@@ -25,7 +25,7 @@ from pathlib import Path
 from .classifiers import ClassifierSpec, TrainedModel, predict_dataset, train
 from .dataset import (
     LEVEL_ATTACK,
-    LEVEL_CATEGORY,
+    LEVELS,
     SCHEMA_INFER_NUMERIC,
     TAXONOMY_BUILTIN,
     Dataset,
@@ -35,7 +35,15 @@ from .dataset import (
     parse_dataset,
     synthetic_config_from_dict,
 )
-from .errors import ConfigError, RunError, SplitError, reject_unknown_keys
+from .errors import (
+    ConfigError,
+    HarnessError,
+    RunError,
+    check_choices,
+    check_int,
+    check_text,
+    reject_unknown_keys,
+)
 from .fileio import atomic_write_text, dump_json, read_json
 from .metrics import AggregatedRow, GroupRecallRow, aggregate_folds, per_group_recall
 from .report import MetricsMatrix, build_matrix
@@ -43,7 +51,8 @@ from .splitting import (
     MODE_BASELINE,
     MODE_OMIT,
     MODE_ONLY,
-    STRATEGY_CONTIGUOUS,
+    MODES,
+    STRATEGIES,
     STRATEGY_STRATIFIED,
     FoldPlan,
     ScenarioSpec,
@@ -58,9 +67,6 @@ CONFIG_FILE = "config.json"
 MARKER_FILE = "INCOMPLETE"
 CELLS_DIR = "cells"
 
-_MODE_ORDER = (MODE_BASELINE, MODE_OMIT, MODE_ONLY)
-_LEVEL_ORDER = (LEVEL_ATTACK, LEVEL_CATEGORY)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -73,44 +79,29 @@ class ExperimentConfig:
     strategy: str = STRATEGY_STRATIFIED
     seed: int = 0
     levels: tuple[str, ...] = (LEVEL_ATTACK,)
-    modes: tuple[str, ...] = _MODE_ORDER
+    modes: tuple[str, ...] = MODES
     output_dir: str | None = None
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not self.classifiers:
-            raise ConfigError("need at least one classifier")
         names = [spec.name for spec in self.classifiers]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"classifier names must be unique, got {names}")
+        if not names or len(set(names)) != len(names):
+            raise ConfigError(f"need at least one classifier, and unique names, got {names}")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ConfigError("exactly one of dataset_path and synthetic must be set")
-        if self.synthetic is not None and (self.schema_source, self.taxonomy_source) != (
-            SCHEMA_INFER_NUMERIC,
-            TAXONOMY_BUILTIN,
-        ):
+        defaults = (SCHEMA_INFER_NUMERIC, TAXONOMY_BUILTIN)
+        if self.synthetic is not None and (self.schema_source, self.taxonomy_source) != defaults:
             raise ConfigError("a synthetic dataset takes no schema or taxonomy")
-        if self.k < 2:
-            raise ConfigError(f"k must be at least 2, got {self.k}")
-        if self.strategy not in (STRATEGY_STRATIFIED, STRATEGY_CONTIGUOUS):
+        for name in ("dataset_path", "schema_source", "taxonomy_source", "output_dir"):
+            if getattr(self, name) is not None:
+                check_text(getattr(self, name), name)
+        check_int(self.k, "k", 2)
+        if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown fold strategy {self.strategy!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {self.workers}")
-        bad_levels = [lvl for lvl in self.levels if lvl not in _LEVEL_ORDER]
-        if bad_levels or not self.levels:
-            raise ConfigError(f"bad aggregation levels {list(self.levels)}")
-        bad_modes = [mode for mode in self.modes if mode not in _MODE_ORDER]
-        if bad_modes or not self.modes:
-            raise ConfigError(f"bad scenario modes {list(self.modes)}")
-        # canonical order, duplicates dropped, so equal configs hash equal
-        object.__setattr__(
-            self, "levels", tuple(lvl for lvl in _LEVEL_ORDER if lvl in self.levels)
-        )
-        object.__setattr__(
-            self, "modes", tuple(mode for mode in _MODE_ORDER if mode in self.modes)
-        )
+        check_int(self.seed, "seed", 0)
+        check_int(self.workers, "workers", 1)
+        object.__setattr__(self, "levels", check_choices(self.levels, "levels", LEVELS))
+        object.__setattr__(self, "modes", check_choices(self.modes, "modes", MODES))
 
 
 def config_identity(cfg: ExperimentConfig) -> dict:
@@ -162,12 +153,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         dataset = {_DATASET_KEYS[key]: value for key, value in source.items()}
         if "synthetic" in dataset:
             dataset["synthetic"] = synthetic_config_from_dict(dataset["synthetic"])
-        spec_keys = [f.name for f in fields(ClassifierSpec)]
-        classifiers = []
-        for entry in rest.pop("classifiers"):
-            reject_unknown_keys(entry, spec_keys, "classifier entry")
-            classifiers.append(ClassifierSpec(**entry))
-        return ExperimentConfig(classifiers=tuple(classifiers), **dataset, **rest)
+        for entry in rest["classifiers"]:
+            reject_unknown_keys(entry, [f.name for f in fields(ClassifierSpec)], "classifier entry")
+        classifiers = tuple(ClassifierSpec(**entry) for entry in rest.pop("classifiers"))
+        return ExperimentConfig(classifiers=classifiers, **dataset, **rest)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed experiment config: {exc}") from exc
 
@@ -352,7 +341,7 @@ def _read_stored(path: Path, decode):
         raise RunError(f"unreadable file {path}: {exc}") from exc
     try:
         return decode(data)
-    except (AttributeError, ConfigError, KeyError, SplitError, TypeError, ValueError) as exc:
+    except (AttributeError, HarnessError, KeyError, TypeError, ValueError) as exc:
         raise RunError(f"malformed file {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -364,15 +353,16 @@ def load_artifact(output_dir: str | Path) -> RunArtifact:
 
 
 def _read_existing_cell(path: Path, fingerprint: str, ident: str) -> tuple[GroupRecallRow, float]:
-    def cell(config_hash: str, wall_time: float, **row) -> tuple[GroupRecallRow, float]:
-        if config_hash != fingerprint:
-            raise RunError(
-                f"cell {ident} was produced by a different config "
-                f"(stored {config_hash!r}, expected {fingerprint!r})"
-            )
-        return GroupRecallRow(**row), wall_time
+    def cell(config_hash: str, wall_time: float, **row) -> tuple:
+        return config_hash, GroupRecallRow(**row), wall_time
 
-    return _read_stored(path, lambda data: _decode(data, cell))
+    config_hash, row, wall_time = _read_stored(path, lambda data: _decode(data, cell))
+    if config_hash != fingerprint:
+        raise RunError(
+            f"cell {ident} was produced by a different config "
+            f"(stored {config_hash!r}, expected {fingerprint!r})"
+        )
+    return row, wall_time
 
 
 def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:

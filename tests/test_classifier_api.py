@@ -8,6 +8,7 @@ import pytest
 import iidsbench
 import iidsbench.classifiers
 from iidsbench.classifiers import (
+    DEFAULT_HYPERPARAMETERS,
     ClassifierSpec,
     labels_from_scores,
     predict_dataset,
@@ -56,6 +57,43 @@ def test_spec_validation():
     spec = ClassifierSpec("mlp", {"hidden": [8, 4]})
     assert spec.hyperparameters["hidden"] == (8, 4)
     assert spec.name == "mlp"
+
+
+def _bad_hyperparameter_values(default) -> list:
+    """A bool, a float given for an integer, and a value below the minimum."""
+    if isinstance(default, tuple):  # a list of positive integers
+        return [True, [True], [2.0], [0], "64"]
+    if isinstance(default, float):  # a positive real
+        return [True, 0.0, -1, float("nan"), float("inf")]
+    return [True, float(default), 0]
+
+
+@pytest.mark.parametrize(
+    "kind, key", [(kind, key) for kind in KINDS for key in DEFAULT_HYPERPARAMETERS[kind]]
+)
+def test_every_hyperparameter_checked(kind, key):
+    for bad in _bad_hyperparameter_values(DEFAULT_HYPERPARAMETERS[kind][key]):
+        with pytest.raises(ConfigError, match=f"hyperparameter {key} "):
+            ClassifierSpec(kind, {key: bad})
+
+
+def test_hyperparameters_pass_through_as_given():
+    svm = ClassifierSpec("linear_svm", {"lambda": 1})
+    assert type(svm.hyperparameters["lambda"]) is int
+    assert ClassifierSpec("random_forest", {"max_depth": None}).hyperparameters["max_depth"] is None
+    assert ClassifierSpec("mlp", {"hidden": []}).hyperparameters["hidden"] == ()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+def test_classifier_seed_checked(seed):
+    with pytest.raises(ConfigError, match="classifier seed"):
+        ClassifierSpec("random_forest", seed=seed)
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../escaped", "a\\b", 5, True])
+def test_classifier_name_is_one_path_component(name):
+    with pytest.raises(ConfigError, match="classifier name"):
+        ClassifierSpec("random_forest", name=name)
 
 
 def test_default_hyperparameters_applied():

@@ -152,6 +152,73 @@ def test_unknown_config_key_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def _second_classifier(config: dict) -> None:
+    config["classifiers"][0]["name"] = 5
+    config["classifiers"].append({"name": "svm", "kind": "linear_svm"})
+
+
+def _in_attack(edit):
+    return lambda syn: edit(syn["attacks"][0])
+
+
+# Config values that must fail before anything is written: (edit, the field
+# the error names, the config the edit applies to). Synthetic edits apply to
+# SYN_CONFIG, through synth and through run's embedded synthetic block.
+BAD_CONFIG_VALUES = {
+    "k-float": (lambda c: c.update(k=2.5), "k", "run"),
+    "seed-float": (lambda c: c.update(seed=1.5), "seed", "run"),
+    "workers-float": (lambda c: c.update(workers=2.0), "workers", "run"),
+    "path-int": (lambda c: c.update(dataset={"path": 5}), "dataset_path", "run"),
+    "taxonomy-int": (
+        lambda c: c.update(dataset={"path": "capture.csv", "taxonomy": 5}),
+        "taxonomy_source",
+        "run",
+    ),
+    "name-escapes": (
+        lambda c: c["classifiers"][0].update(name="../../../escaped"),
+        "classifier name",
+        "run",
+    ),
+    "name-int": (_second_classifier, "classifier name", "run"),
+    "benign-count-float": (lambda s: s.update(benign_count=200.7), "benign_count", "synthetic"),
+    "signature-string": (
+        _in_attack(lambda a: a.update(signature_features="01")),
+        "signature_features",
+        "synthetic",
+    ),
+    "attack-type-float": (
+        _in_attack(lambda a: a.update(attack_type=1.9)),
+        "attack_type",
+        "synthetic",
+    ),
+    "synthetic-seed-bool": (lambda s: s.update(seed=True), "synthetic seed", "synthetic"),
+}
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    [
+        (case, command)
+        for case, (_, _, target) in BAD_CONFIG_VALUES.items()
+        for command in (["run"] if target == "run" else ["synth", "run"])
+    ],
+)
+def test_bad_config_value_exit_3(tmp_path, capsys, case, command):
+    edit, field, target = BAD_CONFIG_VALUES[case]
+    config = json.loads(json.dumps(experiment_config()))
+    edit(config if target == "run" else config["dataset"]["synthetic"])
+    if command == "synth":
+        config = config["dataset"]["synthetic"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    # two levels down, so that an escaping classifier name would land in tmp_path
+    out = tmp_path / "a" / ("data.csv" if command == "synth" else "out")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must" in err, err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_synth_writes_taxonomy_sibling(synth_files):
     data, tax = synth_files
     assert data.exists() and tax.exists()
@@ -329,6 +396,15 @@ def _truncate(path: Path) -> None:
             _edit_json(lambda d: d["values"].update({"1": "0.5"})),
             "resume",
             id="cell-value-string",
+        ),
+        pytest.param(
+            "config.json", _edit_json(lambda d: d.update(k=2.0)), "resume", id="config-k-float"
+        ),
+        pytest.param(
+            "config.json",
+            _edit_json(lambda d: d["dataset"]["synthetic"].update(benign_count=90.0)),
+            "resume",
+            id="config-synthetic-count-float",
         ),
     ],
 )

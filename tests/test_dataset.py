@@ -382,6 +382,33 @@ def test_synthetic_config_validation_names_field():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("count", 5.0),
+        ("signature_features", (-1,)),
+        ("signature_features", (0, 0)),
+        ("signature_features", 0),
+        ("offset", float("nan")),
+        ("offset", "6"),
+        ("overlap_group", 1.0),
+        ("name", ""),
+    ],
+)
+def test_attack_spec_field_checked(field, value):
+    fields = {"attack_type": 1, "count": 5, "signature_features": (0,), "offset": 1.0}
+    with pytest.raises(DatasetError, match=field):
+        AttackSpec(**{**fields, field: value})
+
+
+def test_synthetic_numbers_normalized():
+    cfg = SyntheticConfig(5, (AttackSpec(1, 5, [0], 2),), 2, noise_scale=1)
+    assert cfg.attacks[0].signature_features == (0,)
+    assert type(cfg.attacks[0].offset) is float and type(cfg.noise_scale) is float
+    with pytest.raises(DatasetError, match="noise_scale"):
+        SyntheticConfig(5, cfg.attacks, 2, noise_scale=0)
+
+
 def test_synthetic_config_json_round_trip():
     cfg = SyntheticConfig(
         benign_count=10,

@@ -101,6 +101,30 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("k", 2.0),
+        ("k", True),
+        ("seed", -1),
+        ("workers", True),
+        ("levels", "attack"),
+        ("levels", ()),
+        ("modes", ("omit", "bogus")),
+        ("output_dir", ""),
+        ("strategy", ["stratified"]),
+    ],
+)
+def test_config_field_checked(field, value):
+    with pytest.raises(ConfigError, match=field):
+        small_config("/tmp/x", **{field: value})
+
+
+def test_config_choices_in_canonical_order():
+    cfg = small_config("/tmp/x", levels=["category", "attack"], modes=["only", "omit", "only"])
+    assert (cfg.levels, cfg.modes) == (("attack", "category"), ("omit", "only"))
+
+
 def test_config_round_trip(tmp_path):
     cfg = small_config(tmp_path, workers=4)
     again = config_from_dict(config_to_dict(cfg))

@@ -15,6 +15,7 @@ experiments.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from array import array
 from dataclasses import dataclass, field, fields
@@ -57,15 +58,15 @@ LEVELS = (LEVEL_ATTACK, LEVEL_CATEGORY)
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Column layout of a dataset: ordered feature names, per-feature kind,
-    and the label column. Categorical columns carry their code book: the
-    category texts in first-occurrence order, so text i encodes as code i.
-    Codes at or past the book length are the reserved "unknown" code.
+    """Column layout of a dataset: ordered feature names and per-feature
+    kind; the label column is always DEFAULT_LABEL_COLUMN. Categorical
+    columns carry their code book: the category texts in first-occurrence
+    order, so text i encodes as code i. Codes at or past the book length are
+    the reserved "unknown" code.
     """
 
     feature_names: tuple[str, ...]
     feature_kinds: tuple[str, ...]
-    label_column: str = DEFAULT_LABEL_COLUMN
     categorical_codes: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -80,20 +81,17 @@ class FeatureSchema:
         for kind in self.feature_kinds:
             if kind not in FEATURE_KINDS:
                 raise DatasetError(f"unknown feature kind {kind!r}")
-        if self.label_column in self.feature_names:
-            raise DatasetError(f"label column {self.label_column!r} collides with a feature")
+        if DEFAULT_LABEL_COLUMN in self.feature_names:
+            raise DatasetError(f"label column {DEFAULT_LABEL_COLUMN!r} collides with a feature")
         for name in self.categorical_codes:
             if name not in self.feature_names:
                 raise DatasetError(f"code book for unknown feature {name!r}")
-            if self.kind_of(name) != CATEGORICAL:
+            if self.feature_kinds[self.feature_names.index(name)] != CATEGORICAL:
                 raise DatasetError(f"code book for non-categorical feature {name!r}")
 
     @property
     def num_features(self) -> int:
         return len(self.feature_names)
-
-    def kind_of(self, name: str) -> str:
-        return self.feature_kinds[self.feature_names.index(name)]
 
     def cardinalities(self) -> tuple[int, ...]:
         """Code-book size per feature position; 0 for numeric columns."""
@@ -261,14 +259,16 @@ def load_taxonomy(source: str | Path) -> AttackTaxonomy:
 
 
 def taxonomy_to_csv(tax: AttackTaxonomy) -> str:
-    lines = [",".join(_TAXONOMY_HEADER)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_TAXONOMY_HEADER)
     for cid in sorted(tax.categories):
         cat = tax.categories[cid]
-        lines.append(f"category,{cid},{cat.name},,{cat.abbreviation}")
+        writer.writerow(("category", cid, cat.name, "", cat.abbreviation))
     for tid in sorted(tax.types):
         at = tax.types[tid]
-        lines.append(f"attack,{tid},{at.name},{at.category},")
-    return "\n".join(lines) + "\n"
+        writer.writerow(("attack", tid, at.name, at.category, ""))
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +541,6 @@ def parse_dataset(
     schema = FeatureSchema(
         feature_names=tuple(names),
         feature_kinds=tuple(kinds),
-        label_column=DEFAULT_LABEL_COLUMN,
         categorical_codes={n: tuple(book) for n, book in books.items()},
     )
     return Dataset(schema, matrix, np.frombuffer(labels, dtype=np.int64), taxonomy)
@@ -556,7 +555,7 @@ def dataset_to_csv(d: Dataset) -> str:
     categorical cells as their code-book text, LF line endings.
     """
     schema = d.schema
-    out = [",".join([*schema.feature_names, schema.label_column])]
+    out = [",".join([*schema.feature_names, DEFAULT_LABEL_COLUMN])]
     books = [
         schema.categorical_codes.get(name, ()) if kind == CATEGORICAL else None
         for name, kind in zip(schema.feature_names, schema.feature_kinds)

@@ -19,6 +19,8 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
+from itertools import groupby
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -153,9 +155,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         dataset = {_DATASET_KEYS[key]: value for key, value in source.items()}
         if "synthetic" in dataset:
             dataset["synthetic"] = synthetic_config_from_dict(dataset["synthetic"])
-        for entry in rest["classifiers"]:
+        entries = rest.pop("classifiers")
+        if not isinstance(entries, (list, tuple)):
+            raise ConfigError(f"classifiers must be a list of classifier entries, got {entries!r}")
+        for entry in entries:
             reject_unknown_keys(entry, [f.name for f in fields(ClassifierSpec)], "classifier entry")
-        classifiers = tuple(ClassifierSpec(**entry) for entry in rest.pop("classifiers"))
+        classifiers = tuple(ClassifierSpec(**entry) for entry in entries)
         return ExperimentConfig(classifiers=classifiers, **dataset, **rest)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed experiment config: {exc}") from exc
@@ -294,28 +299,21 @@ def _sort_key(row: GroupRecallRow) -> tuple:
 def _assemble(
     cfg: ExperimentConfig, dataset: Dataset, rows: list[GroupRecallRow]
 ) -> tuple[tuple[AggregatedRow, ...], tuple[MetricsMatrix, ...]]:
-    by_scenario: dict[tuple[str, str], list[GroupRecallRow]] = {}
-    for row in rows:
-        by_scenario.setdefault((row.classifier, row.scenario.key()), []).append(row)
+    """Aggregate rows, which come in _sort_key order, and build every matrix."""
     aggregates = tuple(
-        aggregate_folds(sorted(folds, key=lambda r: r.fold))
-        for _, folds in sorted(by_scenario.items())
+        aggregate_folds(list(folds))
+        for _, folds in groupby(rows, key=lambda r: (r.classifier, r.scenario))
     )
-    lookup = {(row.classifier, row.scenario.key()): row for row in aggregates}
+    lookup = {(row.classifier, row.scenario): row for row in aggregates}
     matrices = []
     for spec in cfg.classifiers:
         for level in cfg.levels:
-            baseline = lookup.get((spec.name, ScenarioSpec(MODE_BASELINE, level).key()))
+            baseline = lookup.get((spec.name, ScenarioSpec(MODE_BASELINE, level)))
             for mode in cfg.modes:
-                if mode == MODE_BASELINE:
-                    if baseline is None:
-                        continue
-                    unit_rows: dict[int, AggregatedRow] = {}
-                else:
-                    unit_rows = {
-                        unit: lookup[(spec.name, ScenarioSpec(mode, level, unit).key())]
-                        for unit in dataset.taxonomy.unit_ids(level)
-                    }
+                units = () if mode == MODE_BASELINE else dataset.taxonomy.unit_ids(level)
+                unit_rows = {
+                    unit: lookup[(spec.name, ScenarioSpec(mode, level, unit))] for unit in units
+                }
                 matrices.append(
                     build_matrix(spec.name, mode, level, baseline, unit_rows, dataset.taxonomy)
                 )
@@ -385,60 +383,53 @@ def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
     plan = partition_folds(dataset, cfg.k, cfg.strategy, cfg.seed)
     cells = plan_cells(cfg, dataset)
 
-    rows: dict[str, GroupRecallRow] = {}
-    seconds: dict[str, float] = {}
+    done: dict[str, tuple[GroupRecallRow, float]] = {}
     pending: list[tuple[CellKey, int]] = []
     for key in cells:
         path = output_dir / key.path()
         if path.exists():
-            rows[key.path()], seconds[key.path()] = _read_existing_cell(
-                path, fingerprint, key.ident()
-            )
+            done[key.path()] = _read_existing_cell(path, fingerprint, key.ident())
         else:
             pending.append((key, cell_seed(cfg.seed, key.classifier.name, key.scenario, key.fold)))
 
-    reused = len(rows)
-
-    def finish(key: CellKey, row: GroupRecallRow, wall_time: float) -> None:
-        path = output_dir / key.path()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        cell = _encode(row, config_hash=fingerprint, wall_time=wall_time)
-        atomic_write_text(path, dump_json(cell))
-        rows[key.path()], seconds[key.path()] = row, wall_time
+    def finish(key: CellKey, result) -> None:
+        """Write the cell that result() computes; any failure, of the cell
+        or of its write, becomes a RunError naming the cell."""
+        try:
+            row, wall_time = result()
+            cell = _encode(row, config_hash=fingerprint, wall_time=wall_time)
+            atomic_write_text(output_dir / key.path(), dump_json(cell))
+        except Exception as exc:
+            raise RunError(f"cell {key.ident()} failed: {exc}") from exc
+        done[key.path()] = row, wall_time
 
     if cfg.workers == 1 or len(pending) <= 1:
         for key, seed in pending:
-            try:
-                finish(key, *_compute_cell(dataset, plan, key, seed))
-            except Exception as exc:
-                raise RunError(f"cell {key.ident()} failed: {exc}") from exc
+            finish(key, partial(_compute_cell, dataset, plan, key, seed))
     else:
         # spawn keeps worker state independent of the parent's thread state
-        context = get_context("spawn")
-        with ProcessPoolExecutor(
+        pool = ProcessPoolExecutor(
             max_workers=min(cfg.workers, len(pending)),
-            mp_context=context,
+            mp_context=get_context("spawn"),
             initializer=_pool_init,
             initargs=(dataset, plan),
-        ) as pool:
-            # Cells are written as they finish, so an interrupt keeps every
-            # finished cell; the first failure cancels the queued ones.
+        )
+        # Cells are written as they finish. A failure or an interrupt
+        # cancels the queued cells and waits only for the running ones.
+        try:
             futures = {pool.submit(_pool_task, (key, seed)): key for key, seed in pending}
             for future in as_completed(futures):
-                key = futures[future]
-                try:
-                    finish(key, *future.result())
-                except Exception as exc:
-                    pool.shutdown(cancel_futures=True)
-                    raise RunError(f"cell {key.ident()} failed: {exc}") from exc
+                finish(futures[future], future.result)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
-    ordered = sorted(rows.values(), key=_sort_key)
+    ordered = sorted((row for row, _ in done.values()), key=_sort_key)
     aggregates, matrices = _assemble(cfg, dataset, ordered)
     timing = {
         "total_seconds": time.perf_counter() - total_start,
         "computed_cells": len(pending),
-        "reused_cells": reused,
-        "cell_seconds": {key.path(): seconds[key.path()] for key in cells},
+        "reused_cells": len(cells) - len(pending),
+        "cell_seconds": {key.path(): done[key.path()][1] for key in cells},
     }
     artifact = RunArtifact(
         config=config_identity(cfg),

@@ -180,6 +180,7 @@ BAD_CONFIG_VALUES = {
         "run",
     ),
     "name-int": (_second_classifier, "classifier name", "run"),
+    "classifiers-int": (lambda c: c.update(classifiers=5), "classifiers", "run"),
     "benign-count-float": (lambda s: s.update(benign_count=200.7), "benign_count", "synthetic"),
     "signature-string": (
         _in_attack(lambda a: a.update(signature_features="01")),

@@ -92,12 +92,18 @@ def test_taxonomy_referential_integrity():
 
 
 def test_load_taxonomy_round_trip(tmp_path):
-    tax = builtin_taxonomy()
-    path = tmp_path / "tax.csv"
-    path.write_text(taxonomy_to_csv(tax))
-    again = load_taxonomy(path)
-    assert again.types == tax.types
-    assert again.categories == tax.categories
+    from iidsbench.dataset import AttackCategory, AttackType
+
+    quoted = AttackTaxonomy(
+        types={1: AttackType("scan, slow", 1), 2: AttackType('say "hi"', 1)},
+        categories={1: AttackCategory("C1", 'odd, "quoted" category')},
+    )
+    for tax in (builtin_taxonomy(), quoted):
+        path = tmp_path / "tax.csv"
+        path.write_text(taxonomy_to_csv(tax))
+        again = load_taxonomy(path)
+        assert again.types == tax.types
+        assert again.categories == tax.categories
 
 
 def test_load_taxonomy_dangling_category(tmp_path):

@@ -366,6 +366,39 @@ def test_interrupted_run_resumes_to_same_results(tmp_path, monkeypatch, seed):
         assert without_timing(out) == without_timing(reference)
 
 
+def test_interrupted_pool_run_cancels_queued_cells(tmp_path, monkeypatch):
+    # Ctrl-C while a two-worker run writes its first cell must cancel the
+    # queued cells rather than compute them and throw them away.
+    submitted = []
+
+    class RecordingPool(runner.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(super().submit(*args, **kwargs))
+            return submitted[-1]
+
+    out = tmp_path / "out"
+    write = runner.atomic_write_text
+
+    def interrupted_write(path, text):
+        if runner.CELLS_DIR in Path(path).relative_to(out).parts:
+            raise KeyboardInterrupt
+        write(path, text)
+
+    three = dict(synthetic=SYN_THREE, k=3)
+    reference = tmp_path / "reference"
+    run(small_config(reference, **three))
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(runner, "atomic_write_text", interrupted_write)
+    with pytest.raises(KeyboardInterrupt):
+        run(small_config(out, workers=2, **three))
+    monkeypatch.undo()
+    assert len(submitted) >= 20
+    assert any(future.cancelled() for future in submitted)
+    assert (out / "INCOMPLETE").exists()
+    resume(out)
+    assert without_timing(out) == without_timing(reference)
+
+
 def test_resume_complete_directory_trains_nothing(tmp_path):
     out = tmp_path / "out"
     run(small_config(out))

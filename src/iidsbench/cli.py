@@ -157,16 +157,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(f"# {m.classifier} / {m.mode} / {m.level}")
             print(render_text_heatmap(m))
         return 0
+    # Everything is rendered before the first write, so a failure writes nothing.
     render, ext = _REPORT_RENDERERS[args.format]
+    files = {_matrix_filename(m, ext): render(m) for m in artifact.matrices}
+    if args.format == "csv":
+        files["precision.csv"] = precision_report_csv(precision_report(artifact))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for m in artifact.matrices:
-        path = out_dir / _matrix_filename(m, ext)
-        atomic_write_text(path, render(m))
-        print(f"wrote {path}")
-    if args.format == "csv":
-        path = out_dir / "precision.csv"
-        atomic_write_text(path, precision_report_csv(precision_report(artifact)))
+    for name, text in files.items():
+        path = out_dir / name
+        atomic_write_text(path, text)
         print(f"wrote {path}")
     return 0
 

@@ -3,8 +3,9 @@
 A dataset is a float64 feature matrix with one row per record and an int64
 vector of attack_type ids, one per row. Row order is capture order and is
 load-bearing: windowed classifiers consume rows relative to it. Attack type
-0 means benign; nonzero ids resolve through an AttackTaxonomy to a coarser
-category id.
+0 means benign. Results are reported per unit: a record's unit is its attack
+type at attack level and that type's category at category level, benign is
+unit 0 at both, and AttackTaxonomy.unit_map alone maps types to units.
 
 The module covers four jobs: parsing/writing the CSV exchange format,
 validating invariants, summarizing label composition, and generating
@@ -166,11 +167,16 @@ class AttackTaxonomy:
         members = sorted(t for t, a in self.types.items() if a.category == cat)
         return f"{cat}.{members.index(unit) + 1}"
 
-    def type_id_lookup(self) -> np.ndarray:
-        """Dense array mapping attack_type id -> category id (0 -> 0)."""
-        out = np.zeros(max(self.types) + 1, dtype=np.int64)
+    def unit_map(self, level: str) -> np.ndarray:
+        """Dense int64 array from attack-type id to its unit at `level`: the
+        id itself, or its category id. Benign (0) maps to 0, and an id below
+        the largest that the taxonomy lacks maps to -1."""
+        if level not in LEVELS:
+            raise TaxonomyError(f"unknown aggregation level {level!r}")
+        out = np.full(max(self.types) + 1, -1, dtype=np.int64)
+        out[BENIGN] = BENIGN
         for tid, at in self.types.items():
-            out[tid] = at.category
+            out[tid] = tid if level == LEVEL_ATTACK else at.category
         return out
 
 
@@ -311,9 +317,9 @@ class Dataset:
     def binary_labels(self) -> np.ndarray:
         return self.attack_types != BENIGN
 
-    def category_labels(self) -> np.ndarray:
-        lookup = self.taxonomy.type_id_lookup()
-        return lookup[self.attack_types]
+    def units(self, level: str) -> np.ndarray:
+        """Each record's unit at `level` (see AttackTaxonomy.unit_map)."""
+        return self.taxonomy.unit_map(level)[self.attack_types]
 
 
 def validate_dataset(d: Dataset) -> list[Violation]:
@@ -360,23 +366,22 @@ def dataset_stats(d: Dataset) -> StatsSummary:
     for the types actually present.
     """
     labels = d.labels()
-    malicious_mask = labels != BENIGN
-    malicious = int(malicious_mask.sum())
-    per_type: dict[int, int] = {}
-    per_category: dict[int, int] = {}
-    values, counts = np.unique(labels[malicious_mask], return_counts=True)
-    for tid, count in zip(values.tolist(), counts.tolist()):
-        per_type[tid] = count
-        cid = d.taxonomy.category_of(tid)
-        per_category[cid] = per_category.get(cid, 0) + count
+    malicious = int(np.count_nonzero(labels != BENIGN))
     return StatsSummary(
         total=len(labels),
         benign_count=len(labels) - malicious,
         malicious_count=malicious,
         malicious_fraction=malicious / len(labels) if len(labels) else 0.0,
-        per_type=dict(sorted(per_type.items())),
-        per_category=dict(sorted(per_category.items())),
+        per_type=_unit_counts(d.units(LEVEL_ATTACK)),
+        per_category=_unit_counts(d.units(LEVEL_CATEGORY)),
     )
+
+
+def _unit_counts(units: np.ndarray) -> dict[int, int]:
+    """Record count per malicious unit present, in ascending unit order."""
+    counts = np.bincount(units)
+    present = np.flatnonzero(counts[1:]) + 1  # skip benign, unit 0
+    return dict(zip(present.tolist(), counts[present].tolist()))
 
 
 # ---------------------------------------------------------------------------

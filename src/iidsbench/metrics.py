@@ -21,8 +21,6 @@ from .dataset import BENIGN, LEVEL_ATTACK, AttackTaxonomy
 from .errors import check_real
 from .splitting import ScenarioSpec
 
-BENIGN_GROUP = 0
-
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -86,8 +84,8 @@ def _from_json(record, *group_maps: str) -> None:
 @dataclass(frozen=True)
 class GroupRecallRow:
     """Recall per group for one evaluated fold. Groups are the benign column
-    (id 0) plus every unit of the taxonomy at the scenario's level; a group
-    whose records never appear in the test set holds None.
+    (dataset.BENIGN, id 0) plus every unit of the taxonomy at the scenario's
+    level; a group whose records never appear in the test set holds None.
     """
 
     classifier: str
@@ -110,10 +108,12 @@ def per_group_recall(
     level: str = LEVEL_ATTACK,
 ) -> dict:
     """Score one fold's test set. predictions[i] is the binary verdict for
-    the record labeled attack_types[i] (True = malicious). Malicious groups
-    score the fraction of their records predicted malicious; the benign
-    column scores the fraction of benign records predicted benign. Returns
-    the values, precision, recall and f1 fields of the fold's GroupRecallRow.
+    the record labeled attack_types[i] (True = malicious); every label must
+    be benign or a type of the taxonomy. A record's group is its unit at
+    `level` (AttackTaxonomy.unit_map), and benign records are group 0. Each
+    group scores the fraction of its records classified correctly: benign
+    ones predicted benign, malicious ones predicted malicious. Returns the
+    values, precision, recall and f1 fields of the fold's GroupRecallRow.
     """
     if len(predictions) != len(attack_types):
         raise ValueError(
@@ -122,24 +122,11 @@ def per_group_recall(
     pred = np.asarray(predictions, dtype=bool)
     types = np.asarray(attack_types, dtype=np.int64)
     truth = types != BENIGN
-
-    ids, inverse = np.unique(types, return_inverse=True)
-    totals = np.bincount(inverse, minlength=len(ids))
-    hits = np.bincount(inverse[pred], minlength=len(ids))
-    group_total: dict[int, int] = {}
-    group_hit: dict[int, int] = {}
-    for type_id, total, hit in zip(ids.tolist(), totals.tolist(), hits.tolist()):
-        group = type_id if level == LEVEL_ATTACK else taxonomy.category_of(type_id)
-        group_total[group] = group_total.get(group, 0) + total
-        group_hit[group] = group_hit.get(group, 0) + hit
-
-    benign_total = group_total.get(BENIGN, 0)
-    values: dict[int, float | None] = {
-        BENIGN_GROUP: (benign_total - group_hit[BENIGN]) / benign_total if benign_total else None
-    }
-    for unit in taxonomy.unit_ids(level):
-        total = group_total.get(unit, 0)
-        values[unit] = group_hit[unit] / total if total else None
+    units = taxonomy.unit_map(level)[types]
+    groups = [BENIGN, *taxonomy.unit_ids(level)]
+    totals = np.bincount(units, minlength=max(groups) + 1).tolist()
+    correct = np.bincount(units[pred == truth], minlength=len(totals)).tolist()
+    values = {g: correct[g] / totals[g] if totals[g] else None for g in groups}
 
     counts = confusion(pred, truth)
     p = precision(counts)

@@ -13,7 +13,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .dataset import AttackTaxonomy
+from .dataset import BENIGN, AttackTaxonomy
 from .errors import ReportError
 from .metrics import AggregatedRow, check_metrics
 from .splitting import MODE_BASELINE
@@ -62,7 +62,7 @@ def build_matrix(
     first, then one row per target unit ascending.
     """
     units = tax.unit_ids(level)
-    col_groups = [0, *units]
+    col_groups = [BENIGN, *units]
     col_labels = [BENIGN_COL_LABEL, *(tax.unit_label(level, u) for u in units)]
     row_units: list[int | None] = []
     row_labels: list[str] = []

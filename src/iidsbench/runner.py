@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from itertools import groupby
-from multiprocessing import get_context
+from multiprocessing import active_children, get_context
 from pathlib import Path
 
 from .classifiers import ClassifierSpec, TrainedModel, predict_dataset, train
@@ -350,16 +350,21 @@ def load_artifact(output_dir: str | Path) -> RunArtifact:
     return _read_stored(path, lambda data: _decode(data, _artifact))
 
 
-def _read_existing_cell(path: Path, fingerprint: str, ident: str) -> tuple[GroupRecallRow, float]:
+def _read_existing_cell(path: Path, fingerprint: str, key: CellKey) -> tuple[GroupRecallRow, float]:
+    """Read key's cell file, which must hold key's cell under this config."""
+
     def cell(config_hash: str, wall_time: float, **row) -> tuple:
         return config_hash, GroupRecallRow(**row), wall_time
 
     config_hash, row, wall_time = _read_stored(path, lambda data: _decode(data, cell))
     if config_hash != fingerprint:
         raise RunError(
-            f"cell {ident} was produced by a different config "
+            f"cell {key.ident()} was produced by a different config "
             f"(stored {config_hash!r}, expected {fingerprint!r})"
         )
+    stored = f"{row.classifier}/{row.scenario.key()}/fold {row.fold}"
+    if stored != key.ident():
+        raise RunError(f"cell file {path} holds cell {stored}, not {key.ident()}")
     return row, wall_time
 
 
@@ -388,7 +393,7 @@ def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
     for key in cells:
         path = output_dir / key.path()
         if path.exists():
-            done[key.path()] = _read_existing_cell(path, fingerprint, key.ident())
+            done[key.path()] = _read_existing_cell(path, fingerprint, key)
         else:
             pending.append((key, cell_seed(cfg.seed, key.classifier.name, key.scenario, key.fold)))
 
@@ -421,7 +426,12 @@ def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
             for future in as_completed(futures):
                 finish(futures[future], future.result)
         finally:
-            pool.shutdown(cancel_futures=True)
+            try:
+                pool.shutdown(cancel_futures=True)
+            except KeyboardInterrupt:  # a second one ends the wait: stop the workers
+                for worker in active_children():
+                    worker.terminate()
+                raise
 
     ordered = sorted((row for row, _ in done.values()), key=_sort_key)
     aggregates, matrices = _assemble(cfg, dataset, ordered)

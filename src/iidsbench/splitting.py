@@ -1,11 +1,11 @@
 """Fold plans and the three train/test scenario kinds.
 
 baseline is a plain k-fold split. omit removes one target unit (an attack
-type or a whole category) from every train set and tests it in full. only
-keeps a single target unit as the malicious training material and moves
-every other malicious record into the test set. Benign records never move:
-a benign record is tested exactly when its fold id matches the instance's
-fold, in all three modes.
+type or a whole category: Dataset.units at the scenario's level) from every
+train set and tests it in full. only keeps a single target unit as the
+malicious training material and moves every other malicious record into the
+test set. Benign records never move: a benign record is tested exactly when
+its fold id matches the instance's fold, in all three modes.
 """
 
 from __future__ import annotations
@@ -120,13 +120,9 @@ class SplitInstance:
 
 
 def _unit_mask(d: Dataset, scenario: ScenarioSpec) -> np.ndarray:
-    if scenario.level == LEVEL_ATTACK:
-        if scenario.target not in d.taxonomy.types:
-            raise SplitError(f"target attack type {scenario.target} absent from taxonomy")
-        return d.labels() == scenario.target
-    if scenario.target not in d.taxonomy.categories:
-        raise SplitError(f"target category {scenario.target} absent from taxonomy")
-    return d.category_labels() == scenario.target
+    if scenario.target not in d.taxonomy.unit_ids(scenario.level):
+        raise SplitError(f"target {scenario.level} unit {scenario.target} absent from taxonomy")
+    return d.units(scenario.level) == scenario.target
 
 
 def materialize_split(

@@ -102,7 +102,7 @@ def test_criterion_01_split_property_suite(announce):
         scenario = ScenarioSpec(mode, level, target)
         plan = partition_folds(d, k, str(strategy), int(rng.integers(0, 1000)))
         labels = d.labels()
-        cats = d.category_labels()
+        cats = np.array([d.taxonomy.category_of(t) for t in labels.tolist()])
         base_tests = {}
         for fold in range(k):
             base_tests[fold] = set(np.flatnonzero(plan.assignment == fold).tolist())

@@ -283,6 +283,17 @@ def test_resume_after_cell_deletion(finished_run, capsys):
     assert "computed 1 cell(s)" in capsys.readouterr().out
 
 
+def test_resume_rejects_cell_file_at_wrong_path(finished_run, capsys):
+    cells = finished_run / "cells" / "forest" / "baseline-attack"
+    (cells / "1.json").write_bytes((cells / "0.json").read_bytes())
+    capsys.readouterr()
+    assert main(["resume", str(finished_run)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(cells / "1.json") in err
+    assert "fold 0" in err
+
+
 def test_report_text_to_stdout(finished_run, capsys):
     assert main(["report", str(finished_run)]) == 0
     out = capsys.readouterr().out
@@ -307,6 +318,21 @@ def test_report_csv_matches_run_json(finished_run, tmp_path):
         _, _, cells = matrix_from_csv(path.read_text())
         stored = matrices[(classifier, mode, level)]["cells"]
         assert [[None if v is None else v for v in row] for row in stored] == cells
+
+
+def test_report_csv_without_baseline_writes_nothing(tmp_path, capsys):
+    config = experiment_config()
+    config["modes"] = ["omit", "only"]
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    dest = tmp_path / "rendered"
+    dest.mkdir()
+    capsys.readouterr()
+    assert main(["report", str(out), "--format", "csv", "--out", str(dest)]) == 3
+    assert "baseline" in capsys.readouterr().err
+    assert list(dest.iterdir()) == []
 
 
 def test_report_svg_files(finished_run, tmp_path):

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from iidsbench.dataset import (
+    AttackCategory,
     AttackSpec,
     AttackTaxonomy,
+    AttackType,
     Dataset,
     FeatureSchema,
     SyntheticConfig,
@@ -27,7 +29,9 @@ from iidsbench.dataset import (
     validate_dataset,
     write_dataset,
 )
-from iidsbench.errors import DatasetError, TaxonomyError
+from iidsbench.errors import DatasetError, SplitError, TaxonomyError
+from iidsbench.metrics import per_group_recall
+from iidsbench.splitting import ScenarioSpec, check_split, materialize_split, partition_folds
 
 from conftest import flat_taxonomy, tiny_dataset
 
@@ -315,6 +319,63 @@ def test_stats_match_synthetic_config():
     assert s.total == 68
     assert s.benign_count == 50
     assert s.per_type == {1: 7, 4: 11}
+
+
+# -- record units -----------------------------------------------------------
+
+
+def sparse_category_dataset(rng) -> Dataset:
+    """Types 1-3 in categories 5 and 100, whose ids exceed every type id,
+    plus category 200, which has no types."""
+    taxonomy = AttackTaxonomy(
+        types={1: AttackType("a", 5), 2: AttackType("b", 100), 3: AttackType("c", 100)},
+        categories={c: AttackCategory(f"C{c}", f"category-{c}") for c in (5, 100, 200)},
+    )
+    labels = rng.choice([0, 1, 2, 3], 60).tolist()
+    labels[:4] = [0, 1, 2, 3]
+    return tiny_dataset(labels, taxonomy=taxonomy)
+
+
+def test_units_at_each_level(rng):
+    d = sparse_category_dataset(rng)
+    labels = d.labels().tolist()
+    assert d.units("attack").tolist() == labels
+    assert d.units("category").tolist() == [d.taxonomy.category_of(t) for t in labels]
+    with pytest.raises(TaxonomyError, match="level"):
+        d.units("family")
+
+
+def test_sparse_category_recall_matches_oracle(rng):
+    d = sparse_category_dataset(rng)
+    pred = rng.integers(0, 2, len(d)).astype(bool).tolist()
+    row = per_group_recall(pred, d.labels(), d.taxonomy, "category")
+    groups = [d.taxonomy.category_of(t) for t in d.labels().tolist()]
+    assert row["values"].keys() == {0, 5, 100, 200}
+    assert row["values"][200] is None
+    for group in (0, 5, 100):
+        members = [i for i, g in enumerate(groups) if g == group]
+        correct = [pred[i] != (group == 0) for i in members]
+        assert row["values"][group] == sum(correct) / len(members)
+
+
+def test_sparse_category_splits_and_stats_agree(rng):
+    d = sparse_category_dataset(rng)
+    labels = d.labels().tolist()
+    groups = [d.taxonomy.category_of(t) for t in labels]
+    plan = partition_folds(d, 3, seed=2)
+    for mode in ("omit", "only"):
+        for target in (5, 100):
+            split = materialize_split(d, plan, 1, ScenarioSpec(mode, "category", target))
+            assert check_split(d, split, plan) == []
+            train = set(split.train_indices.tolist())
+            members = {i for i, g in enumerate(groups) if g == target}
+            malicious = {i for i, t in enumerate(labels) if t != 0}
+            assert not (members & train if mode == "omit" else (malicious - members) & train)
+        with pytest.raises(SplitError, match="empty target unit"):
+            materialize_split(d, plan, 1, ScenarioSpec(mode, "category", 200))
+    stats = dataset_stats(d)
+    assert stats.per_type == {t: labels.count(t) for t in (1, 2, 3)}
+    assert stats.per_category == {5: groups.count(5), 100: groups.count(100)}
 
 
 # -- synthetic generation ---------------------------------------------------

@@ -4,8 +4,13 @@ cross-artifact comparison."""
 from __future__ import annotations
 
 import json
+import os
 import random
-from dataclasses import asdict
+import signal
+import subprocess
+import sys
+import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -399,6 +404,52 @@ def test_interrupted_pool_run_cancels_queued_cells(tmp_path, monkeypatch):
     assert without_timing(out) == without_timing(reference)
 
 
+def test_second_interrupt_stops_pool_workers(tmp_path):
+    # Two quick SIGINTs to a two-worker `iidsbench run` must end it, workers
+    # included, and leave a directory that resumes to the serial results.
+    attacks = tuple(AttackSpec(t, 200, (t - 1,), 6.0) for t in (1, 2, 3, 4))
+    cfg = small_config(
+        tmp_path / "pool",
+        synthetic=SyntheticConfig(2000, attacks, base_dim=4, seed=17),
+        classifiers=(ClassifierSpec("random_forest", {"n_trees": 16}, name="forest"),),
+        k=3,
+        workers=2,
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(config_to_dict(cfg)))
+    src = str(Path(runner.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "iidsbench.cli", "run", "--config", str(config)]
+    proc = subprocess.Popen(
+        command,
+        env={**os.environ, "PYTHONPATH": path},
+        start_new_session=True,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        cells = Path(cfg.output_dir) / "cells"
+        deadline = time.monotonic() + 60
+        while not any(cells.rglob("*.json")) and proc.poll() is None:
+            assert time.monotonic() < deadline, "no cell written within 60 s"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        time.sleep(0.05)
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=30)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # the workers share the run's group
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert proc.returncode == -signal.SIGINT
+    assert (Path(cfg.output_dir) / "INCOMPLETE").exists()
+    resume(cfg.output_dir)
+    run(replace(cfg, output_dir=str(tmp_path / "serial"), workers=1))
+    assert without_timing(Path(cfg.output_dir)) == without_timing(tmp_path / "serial")
+
+
 def test_resume_complete_directory_trains_nothing(tmp_path):
     out = tmp_path / "out"
     run(small_config(out))
@@ -461,9 +512,13 @@ def test_parallel_failure_names_cell_and_keeps_readable_cells(tmp_path):
         run(cfg)
     assert (out / "INCOMPLETE").exists()
     fingerprint = config_fingerprint(cfg)
-    for path in (out / "cells").rglob("*.json"):
-        row, _ = _read_existing_cell(path, fingerprint, str(path))
-        assert row.classifier == "forest"
+    stored = 0
+    for key in plan_cells(cfg, load_experiment_dataset(cfg)):
+        if (out / key.path()).exists():
+            row, _ = _read_existing_cell(out / key.path(), fingerprint, key)
+            assert row.classifier == "forest"
+            stored += 1
+    assert stored == len(list((out / "cells").rglob("*.json")))
 
 
 def test_load_artifact_round_trip(tmp_path):

@@ -1,10 +1,12 @@
 """The three reference detectors behind one train/predict interface.
 
-train() handles the shared pipeline: fit the preprocessor on train rows
-only, build the windowed train rows, then dispatch to the kind's training
-routine. predict_dataset() builds and scores only the requested rows. Both
-read each window from the dataset in capture order, so windows reach across
-split boundaries by design. Models are value objects; predict_dataset is pure.
+train() handles the shared pipeline: fit the preprocessor's encoding on
+the split's train rows only, build the windowed train rows, then dispatch to
+the kind's training routine. The forest sees categorical features as raw
+codes; the SVM and MLP see them one-hot. predict_dataset() builds and scores
+only the rows it is given. Both read each window from the dataset in capture
+order, so windows reach across split boundaries by design. Models are value
+objects; predict_dataset is pure.
 """
 
 from __future__ import annotations
@@ -73,9 +75,8 @@ def train(spec: ClassifierSpec, split: SplitInstance, d: Dataset) -> TrainedMode
 
     pre = fit_preprocessor(
         X[train_idx],
+        d.schema,
         window=spec.hyperparameters["window"],
-        kinds=d.schema.feature_kinds,
-        cardinalities=d.schema.cardinalities(),
         one_hot=spec.kind in (KIND_SVM, KIND_MLP),
     )
     X_train = transform(pre, X, train_idx)
@@ -90,17 +91,12 @@ def train(spec: ClassifierSpec, split: SplitInstance, d: Dataset) -> TrainedMode
     return TrainedModel(spec=spec, preprocessor=pre, params=params)
 
 
-def predict_dataset(
-    model: TrainedModel,
-    d: Dataset,
-    indices=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score the records `indices` (default: all rows) of a full dataset,
-    windowing over its capture order, and return (malicious flags, scores).
-    Only the requested rows are built and scored.
+def predict_dataset(model: TrainedModel, d: Dataset, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Score the records `indices` of a full dataset, windowing over its
+    capture order, and return (malicious flags, scores). Only the requested
+    rows are built and scored.
     """
-    rows = None if indices is None else np.asarray(indices, dtype=np.int64)
-    X = transform(model.preprocessor, d.feature_matrix(), rows)
+    X = transform(model.preprocessor, d.feature_matrix(), np.asarray(indices, dtype=np.int64))
     if model.kind == KIND_FOREST:
         scores = forest_scores(model.params, X)
     elif model.kind == KIND_SVM:

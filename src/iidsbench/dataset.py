@@ -5,7 +5,7 @@ vector of attack_type ids, one per row. Row order is capture order and is
 load-bearing: windowed classifiers consume rows relative to it. Attack type
 0 means benign. Results are reported per unit: a record's unit is its attack
 type at attack level and that type's category at category level, benign is
-unit 0 at both, and AttackTaxonomy.unit_map alone maps types to units.
+unit 0 at both, and AttackTaxonomy.units alone maps types to units.
 
 The module covers four jobs: parsing/writing the CSV exchange format,
 validating invariants, summarizing label composition, and generating
@@ -94,16 +94,6 @@ class FeatureSchema:
     def num_features(self) -> int:
         return len(self.feature_names)
 
-    def cardinalities(self) -> tuple[int, ...]:
-        """Code-book size per feature position; 0 for numeric columns."""
-        out = []
-        for name, kind in zip(self.feature_names, self.feature_kinds):
-            if kind == CATEGORICAL:
-                out.append(len(self.categorical_codes.get(name, ())))
-            else:
-                out.append(0)
-        return tuple(out)
-
 
 # ---------------------------------------------------------------------------
 # Taxonomy
@@ -167,17 +157,23 @@ class AttackTaxonomy:
         members = sorted(t for t, a in self.types.items() if a.category == cat)
         return f"{cat}.{members.index(unit) + 1}"
 
-    def unit_map(self, level: str) -> np.ndarray:
-        """Dense int64 array from attack-type id to its unit at `level`: the
-        id itself, or its category id. Benign (0) maps to 0, and an id below
-        the largest that the taxonomy lacks maps to -1."""
+    def units(self, attack_types, level: str) -> np.ndarray:
+        """The int64 unit at `level` of each attack-type id: the id itself,
+        or its category id; benign (0) is unit 0. Raises TaxonomyError naming
+        the first id that is neither benign nor a type of the taxonomy."""
         if level not in LEVELS:
             raise TaxonomyError(f"unknown aggregation level {level!r}")
-        out = np.full(max(self.types) + 1, -1, dtype=np.int64)
-        out[BENIGN] = BENIGN
+        table = np.full(max(self.types) + 1, -1, dtype=np.int64)
+        table[BENIGN] = BENIGN
         for tid, at in self.types.items():
-            out[tid] = tid if level == LEVEL_ATTACK else at.category
-        return out
+            table[tid] = tid if level == LEVEL_ATTACK else at.category
+        types = np.asarray(attack_types, dtype=np.int64)
+        if types.size == 0 or (types.min() >= 0 and types.max() < len(table)):
+            units = table[types]
+            if units.min(initial=0) >= 0:
+                return units
+        unknown = np.flatnonzero(~np.isin(types, [BENIGN, *self.types]))
+        raise TaxonomyError(f"unknown attack type id {types[unknown[0]]}")
 
 
 # Gas-pipeline categories: (abbreviation, descriptive name, number of attack
@@ -318,8 +314,8 @@ class Dataset:
         return self.attack_types != BENIGN
 
     def units(self, level: str) -> np.ndarray:
-        """Each record's unit at `level` (see AttackTaxonomy.unit_map)."""
-        return self.taxonomy.unit_map(level)[self.attack_types]
+        """Each record's unit at `level` (see AttackTaxonomy.units)."""
+        return self.taxonomy.units(self.attack_types, level)
 
 
 def validate_dataset(d: Dataset) -> list[Violation]:

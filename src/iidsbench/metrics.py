@@ -110,7 +110,7 @@ def per_group_recall(
     """Score one fold's test set. predictions[i] is the binary verdict for
     the record labeled attack_types[i] (True = malicious); every label must
     be benign or a type of the taxonomy. A record's group is its unit at
-    `level` (AttackTaxonomy.unit_map), and benign records are group 0. Each
+    `level` (AttackTaxonomy.units), and benign records are group 0. Each
     group scores the fraction of its records classified correctly: benign
     ones predicted benign, malicious ones predicted malicious. Returns the
     values, precision, recall and f1 fields of the fold's GroupRecallRow.
@@ -122,7 +122,7 @@ def per_group_recall(
     pred = np.asarray(predictions, dtype=bool)
     types = np.asarray(attack_types, dtype=np.int64)
     truth = types != BENIGN
-    units = taxonomy.unit_map(level)[types]
+    units = taxonomy.units(types, level)
     groups = [BENIGN, *taxonomy.unit_ids(level)]
     totals = np.bincount(units, minlength=max(groups) + 1).tolist()
     correct = np.bincount(units[pred == truth], minlength=len(totals)).tolist()

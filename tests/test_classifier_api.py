@@ -151,7 +151,7 @@ def test_predict_arity_mismatch(kind, separable_dataset):
     split = baseline_split(separable_dataset)
     model = train(ClassifierSpec(kind, FAST_HP[kind]), split, separable_dataset)
     with pytest.raises(ValueError):
-        predict_dataset(model, tiny_dataset([0, 1]))  # 2 features, the model wants 4
+        predict_dataset(model, tiny_dataset([0, 1]), [0, 1])  # 2 features, the model wants 4
 
 
 def test_predict_on_records(separable_dataset):
@@ -180,7 +180,7 @@ def test_predict_dataset_indices_match_full_scores(kind, separable_dataset):
     split = baseline_split(d)
     spec = ClassifierSpec(kind, {**FAST_HP[kind], "window": 3}, seed=4)
     model = train(spec, split, d)
-    all_flags, all_scores = predict_dataset(model, d)
+    all_flags, all_scores = predict_dataset(model, d, np.arange(len(d)))
     assert len(all_scores) == len(d)
     # unsorted, repeated, and the first rows, whose windows reach before row 0
     idx = np.concatenate([[len(d) - 1, 0, 1, 1], split.test_indices[::-1]])

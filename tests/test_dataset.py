@@ -345,6 +345,20 @@ def test_units_at_each_level(rng):
         d.units("family")
 
 
+@pytest.mark.parametrize("label", [-1, 3, 9])
+@pytest.mark.parametrize("level", ["attack", "category"])
+def test_label_outside_taxonomy_is_named(label, level):
+    # below every id, in a gap between ids, and above the largest
+    d = tiny_dataset([0, 1, 2, 4, label], taxonomy=flat_taxonomy([1, 2, 4]))
+    message = f"unknown attack type id {label}$"
+    with pytest.raises(TaxonomyError, match=message):
+        d.units(level)
+    with pytest.raises(TaxonomyError, match=message):
+        dataset_stats(d)
+    with pytest.raises(TaxonomyError, match=message):
+        per_group_recall([False] * len(d), d.labels(), d.taxonomy, level)
+
+
 def test_sparse_category_recall_matches_oracle(rng):
     d = sparse_category_dataset(rng)
     pred = rng.integers(0, 2, len(d)).astype(bool).tolist()

@@ -7,6 +7,16 @@ train-on-one-unit), train the bundled from-scratch classifiers on each
 variant, and aggregate per-group recall into heatmap matrices.
 """
 
+import os
+
+# One BLAS thread per process unless the user chose a count: a run's
+# parallelism comes from its workers, and OpenBLAS's default pool only adds
+# CPU time and memory, and oversubscribes the cores once workers exceed 1.
+# OpenBLAS reads the variable when numpy first loads it, so this precedes
+# every import of numpy; spawned workers inherit it with the environment.
+if not os.environ.keys() & {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .classifiers import ClassifierSpec, TrainedModel, train
 from .dataset import (
     AttackSpec,

@@ -1,12 +1,14 @@
 """The three reference detectors behind one train/predict interface.
 
 train() handles the shared pipeline: fit the preprocessor's encoding on
-the split's train rows only, build the windowed train rows, then dispatch to
-the kind's training routine. The forest sees categorical features as raw
-codes; the SVM and MLP see them one-hot. predict_dataset() builds and scores
-only the rows it is given. Both read each window from the dataset in capture
-order, so windows reach across split boundaries by design. Models are value
-objects; predict_dataset is pure.
+the split's train rows only, then dispatch to the kind's training routine.
+The forest and the SVM train on the built matrix of windowed train rows; the
+MLP takes the window view of the encoded capture and gathers each
+mini-batch's rows from it, so no windowed train matrix is built. The forest
+sees categorical features as raw codes; the SVM and MLP see them one-hot.
+predict_dataset() builds and scores only the rows it is given. Both read
+each window from the dataset in capture order, so windows reach across split
+boundaries by design. Models are value objects; predict_dataset is pure.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .base import (
     fit_preprocessor,
     labels_from_scores,
     transform,
+    window_view,
 )
 from .forest import forest_scores, train_random_forest
 from .mlp import mlp_scores, train_mlp
@@ -79,14 +82,14 @@ def train(spec: ClassifierSpec, split: SplitInstance, d: Dataset) -> TrainedMode
         window=spec.hyperparameters["window"],
         one_hot=spec.kind in (KIND_SVM, KIND_MLP),
     )
-    X_train = transform(pre, X, train_idx)
-
-    if spec.kind == KIND_FOREST:
-        params = train_random_forest(spec.hyperparameters, X_train, y_train, spec.seed)
-    elif spec.kind == KIND_SVM:
-        params = train_linear_svm(spec.hyperparameters, X_train, y_train, spec.seed)
+    if spec.kind == KIND_MLP:
+        params = train_mlp(spec.hyperparameters, train_idx, y_train, spec.seed, window_view(pre, X))
     else:
-        params = train_mlp(spec.hyperparameters, X_train, y_train, spec.seed)
+        X_train = transform(pre, X, train_idx)
+        if spec.kind == KIND_FOREST:
+            params = train_random_forest(spec.hyperparameters, X_train, y_train, spec.seed)
+        else:
+            params = train_linear_svm(spec.hyperparameters, X_train, y_train, spec.seed)
 
     return TrainedModel(spec=spec, preprocessor=pre, params=params)
 

@@ -76,19 +76,24 @@ def mlp_loss_and_grads(params: MlpParams, X, y):
     return loss, grads_w, grads_b
 
 
-def train_mlp(hyperparameters: dict, X_windowed, y, seed: int) -> MlpParams:
-    X = np.asarray(X_windowed, dtype=np.float64)
+def train_mlp(hyperparameters: dict, rows, y, seed: int, windows) -> MlpParams:
+    """Fit on the windowed rows windows[rows], labelled y, with y[i] the
+    label of rows[i]. `windows` is a 2-D array or view of windowed rows, such
+    as base.window_view of the capture; each mini-batch gathers only its own
+    rows from it, so the (len(rows), row width) train matrix is never built.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
     y = np.asarray(y, dtype=np.float64)
-    layer_sizes = [X.shape[1], *hyperparameters["hidden"], 1]
+    layer_sizes = [windows.shape[1], *hyperparameters["hidden"], 1]
     rng = np.random.default_rng(seed)
     params = init_params(layer_sizes, rng)
     lr = hyperparameters["learning_rate"]
     batch_size = hyperparameters["batch_size"]
     for _ in range(hyperparameters["epochs"]):
-        order = rng.permutation(len(X))
-        for start in range(0, len(X), batch_size):
+        order = rng.permutation(len(rows))
+        for start in range(0, len(rows), batch_size):
             batch = order[start : start + batch_size]
-            _, grads_w, grads_b = mlp_loss_and_grads(params, X[batch], y[batch])
+            _, grads_w, grads_b = mlp_loss_and_grads(params, windows[rows[batch]], y[batch])
             for W, gW in zip(params.weights, grads_w):
                 W -= lr * gW
             for b, gb in zip(params.biases, grads_b):

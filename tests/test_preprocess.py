@@ -197,22 +197,29 @@ def numeric_capture(rng, n: int = 40) -> tuple[np.ndarray, tuple[str, ...], tupl
 @pytest.mark.parametrize("one_hot", [True, False])
 @pytest.mark.parametrize("window", [1, 3, 5])
 def test_transform_rows_match_reference(rng, window, one_hot):
-    for X, kinds, books in (mixed_capture(rng), categorical_capture(rng), numeric_capture(rng)):
-        p = fit_preprocessor(X[5:30], schema_of(kinds, books), window, one_hot)
-        expected = reference_transform(X, X[5:30], kinds, books, one_hot, window)
-        n = len(X)
-        padded = np.arange(window - 1)  # rows whose windows reach before row 0
-        for rows in (
-            padded,
-            np.array([n - 1, 0, 17, 17, 3, n - 1, 1], dtype=np.int64),
-            rng.permutation(n)[: n // 2],
-            np.arange(n),
-            np.array([], dtype=np.int64),
+    # n = 2,100 and the row sets of 1,023 to 1,025 rows reach across the
+    # blocks of 1,024 rows in which one-hot rows are encoded
+    for n in (40, 2100):
+        for X, kinds, books in (
+            mixed_capture(rng, n),
+            categorical_capture(rng, n),
+            numeric_capture(rng, n),
         ):
-            out = transform(p, X, rows)
-            assert out.dtype == np.float64 and out.flags.c_contiguous
-            assert out.shape == expected[rows].shape
-            assert out.tobytes() == expected[rows].tobytes()
+            p = fit_preprocessor(X[5:30], schema_of(kinds, books), window, one_hot)
+            expected = reference_transform(X, X[5:30], kinds, books, one_hot, window)
+            padded = np.arange(window - 1)  # rows whose windows reach before row 0
+            for rows in (
+                padded,
+                np.array([n - 1, 0, 17, 17, 3, n - 1, 1], dtype=np.int64),
+                rng.permutation(n)[: n // 2],
+                np.arange(n),
+                np.array([], dtype=np.int64),
+                *(rng.integers(0, n, size) for size in (1023, 1024, 1025)),
+            ):
+                out = transform(p, X, rows)
+                assert out.dtype == np.float64 and out.flags.c_contiguous
+                assert out.shape == expected[rows].shape
+                assert out.tobytes() == expected[rows].tobytes()
 
 
 @pytest.mark.parametrize("one_hot", [True, False])
@@ -220,14 +227,21 @@ def test_transform_rows_match_reference(rng, window, one_hot):
 def test_transform_keeps_special_values_of_reference(rng, window, one_hot):
     # outside the fitted rows 5..29: signed zeros in every column, infinities
     # in the numeric ones, so pass-through columns must keep their bits
-    X, kinds, books = mixed_capture(rng)
-    X[[0, 2, 31, 35], :] = -0.0
-    X[[1, 33], :] = 0.0
-    X[[3, 36], 0] = np.inf
-    X[[4, 37], 1] = -np.inf
-    X[[30, 38], 4] = np.inf
-    p = fit_preprocessor(X[5:30], schema_of(kinds, books), window, one_hot)
-    assert np.signbit(reference_encode(X, X[5:30], kinds, books, one_hot)[0]).any()
-    expected = reference_transform(X, X[5:30], kinds, books, one_hot, window)
-    for rows in (np.arange(len(X)), np.array([38, 0, 2, 31, 4, 2, 17, 30, 1], dtype=np.int64)):
-        assert transform(p, X, rows).tobytes() == expected[rows].tobytes()
+    for n in (40, 2100):
+        X, kinds, books = mixed_capture(rng, n)
+        X[[0, 2, 31, 35], :] = -0.0
+        X[[1, 33], :] = 0.0
+        X[[3, 36], 0] = np.inf
+        X[[4, 37], 1] = -np.inf
+        X[[30, 38], 4] = np.inf
+        X[n - 40 :] = X[:40]  # at n = 2,100 the same rows again, in the third block of 1,024
+        p = fit_preprocessor(X[5:30], schema_of(kinds, books), window, one_hot)
+        assert np.signbit(reference_encode(X, X[5:30], kinds, books, one_hot)[0]).any()
+        expected = reference_transform(X, X[5:30], kinds, books, one_hot, window)
+        for rows in (
+            np.arange(n),
+            np.arange(n)[::-1],
+            np.array([38, 0, 2, 31, 4, 2, 17, 30, 1], dtype=np.int64),
+            *(rng.integers(0, n, size) for size in (1023, 1024, 1025)),
+        ):
+            assert transform(p, X, rows).tobytes() == expected[rows].tobytes()

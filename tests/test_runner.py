@@ -300,6 +300,26 @@ def test_run_worker_count_invariant(tmp_path):
     assert stripped(tmp_path / "a") == stripped(tmp_path / "b")
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, *BLAS_THREAD_VARIABLES])
+def test_import_defaults_to_one_blas_thread(preset):
+    # A fresh process that imports iidsbench gets one BLAS thread unless a
+    # thread variable is already set; then its environment stays as it was.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    if preset is not None:
+        env[preset] = "3"
+    src = str(Path(runner.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import json, os, iidsbench; print(json.dumps(dict(os.environ)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    expected = env if preset is not None else {**env, "OPENBLAS_NUM_THREADS": "1"}
+    assert json.loads(proc.stdout) == expected
+
+
 def test_baseline_rows_equal_across_mode_sets(tmp_path):
     full = run(small_config(tmp_path / "full"))
     base_only = run(small_config(tmp_path / "base", modes=("baseline",)))

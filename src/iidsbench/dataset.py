@@ -647,7 +647,7 @@ class SyntheticConfig:
                 )
 
 
-def _synthetic_taxonomy(cfg: SyntheticConfig) -> AttackTaxonomy:
+def synthetic_taxonomy(cfg: SyntheticConfig) -> AttackTaxonomy:
     # Each synthetic attack type doubles as its own category, so attack- and
     # category-level runs coincide on synthetic data.
     types = {}
@@ -683,7 +683,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
         feature_names=tuple(f"f{j}" for j in range(cfg.base_dim)),
         feature_kinds=(NUMERIC,) * cfg.base_dim,
     )
-    return Dataset(schema, matrix, label_vec, _synthetic_taxonomy(cfg))
+    return Dataset(schema, matrix, label_vec, synthetic_taxonomy(cfg))
 
 
 def synthetic_config_from_dict(data: dict) -> SyntheticConfig:

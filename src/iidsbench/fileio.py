@@ -1,7 +1,9 @@
-"""Atomic file writes: content lands under its final name or not at all."""
+"""Atomic file writes, where content lands under its final name or not at
+all, and the JSON and hash reads of the files a run depends on."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -31,3 +33,12 @@ def dump_json(obj) -> str:
 def read_json(path: str | Path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def file_sha256(path: str | Path) -> str:
+    """Hex sha256 of a file's bytes, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()

@@ -9,13 +9,21 @@ each with format_version. _encode writes them and _decode reads them back.
 Reruns are reproducible to the byte (timing aside): each cell gets its own
 seed derived by hashing the experiment seed with the cell identity, so
 results do not depend on worker count or execution order. A rerun over an
-existing output directory recomputes only the missing cells.
+existing output directory recomputes only the missing cells. The cells are
+planned and run.json assembled from the config and the taxonomy alone, so
+the dataset is loaded and its folds partitioned only when a cell is missing:
+a complete directory is rebuilt from config.json, the taxonomy and its cell
+files. inputs.json records the sha256 of every input file when the directory
+is first written; the taxonomy and schema are checked against it on every
+run, the dataset just before it is parsed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -24,18 +32,23 @@ from itertools import groupby
 from multiprocessing import active_children, get_context
 from pathlib import Path
 
+import numpy as np
+
 from .classifiers import ClassifierSpec, TrainedModel, predict_dataset, train
 from .dataset import (
     LEVEL_ATTACK,
     LEVELS,
     SCHEMA_INFER_NUMERIC,
+    SCHEMA_GAS_PIPELINE,
     TAXONOMY_BUILTIN,
+    AttackTaxonomy,
     Dataset,
     SyntheticConfig,
     generate_synthetic,
     load_taxonomy,
     parse_dataset,
     synthetic_config_from_dict,
+    synthetic_taxonomy,
 )
 from .errors import (
     ConfigError,
@@ -46,7 +59,7 @@ from .errors import (
     check_text,
     reject_unknown_keys,
 )
-from .fileio import atomic_write_text, dump_json, read_json
+from .fileio import atomic_write_text, dump_json, file_sha256, read_json
 from .metrics import AggregatedRow, GroupRecallRow, aggregate_folds, per_group_recall
 from .report import MetricsMatrix, build_matrix
 from .splitting import (
@@ -66,6 +79,7 @@ from .splitting import (
 FORMAT_VERSION = "1"
 RUN_FILE = "run.json"
 CONFIG_FILE = "config.json"
+INPUTS_FILE = "inputs.json"
 MARKER_FILE = "INCOMPLETE"
 CELLS_DIR = "cells"
 
@@ -177,14 +191,37 @@ def cell_seed(config_seed: int, classifier_name: str, scenario: ScenarioSpec, fo
     return int.from_bytes(digest[:8], "big")
 
 
-def load_experiment_dataset(cfg: ExperimentConfig) -> Dataset:
+def experiment_taxonomy(cfg: ExperimentConfig) -> AttackTaxonomy:
+    """The taxonomy of cfg's dataset, read or built without its rows."""
+    if cfg.synthetic is not None:
+        return synthetic_taxonomy(cfg.synthetic)
+    return load_taxonomy(cfg.taxonomy_source)
+
+
+def load_experiment_dataset(
+    cfg: ExperimentConfig, taxonomy: AttackTaxonomy | None = None
+) -> Dataset:
+    """cfg's dataset. A CSV is parsed with taxonomy, which defaults to
+    experiment_taxonomy(cfg); a synthetic dataset builds its own."""
     if cfg.synthetic is not None:
         return generate_synthetic(cfg.synthetic)
-    return parse_dataset(
-        cfg.dataset_path,
-        schema_source=cfg.schema_source,
-        taxonomy=load_taxonomy(cfg.taxonomy_source),
-    )
+    if taxonomy is None:
+        taxonomy = load_taxonomy(cfg.taxonomy_source)
+    return parse_dataset(cfg.dataset_path, schema_source=cfg.schema_source, taxonomy=taxonomy)
+
+
+def _input_files(cfg: ExperimentConfig) -> dict[str, str]:
+    """The path of each input file cfg names, by role: the dataset CSV, and
+    the taxonomy and schema where they are files. A synthetic config names
+    none."""
+    if cfg.synthetic is not None:
+        return {}
+    files = {"dataset": cfg.dataset_path}
+    if cfg.taxonomy_source != TAXONOMY_BUILTIN:
+        files["taxonomy"] = cfg.taxonomy_source
+    if cfg.schema_source not in (SCHEMA_INFER_NUMERIC, SCHEMA_GAS_PIPELINE):
+        files["schema"] = cfg.schema_source
+    return files
 
 
 @dataclass(frozen=True)
@@ -200,11 +237,11 @@ class CellKey:
         return f"{self.classifier.name}/{self.scenario.key()}/fold {self.fold}"
 
 
-def plan_cells(cfg: ExperimentConfig, dataset: Dataset) -> list[CellKey]:
+def plan_cells(cfg: ExperimentConfig, taxonomy: AttackTaxonomy) -> list[CellKey]:
     cells = []
     for spec in cfg.classifiers:
         for level in cfg.levels:
-            for scenario in enumerate_scenarios(dataset.taxonomy, level, cfg.modes):
+            for scenario in enumerate_scenarios(taxonomy, level, cfg.modes):
                 for fold in range(cfg.k):
                     cells.append(CellKey(spec, scenario, fold))
     return cells
@@ -297,7 +334,7 @@ def _sort_key(row: GroupRecallRow) -> tuple:
 
 
 def _assemble(
-    cfg: ExperimentConfig, dataset: Dataset, rows: list[GroupRecallRow]
+    cfg: ExperimentConfig, taxonomy: AttackTaxonomy, rows: list[GroupRecallRow]
 ) -> tuple[tuple[AggregatedRow, ...], tuple[MetricsMatrix, ...]]:
     """Aggregate rows, which come in _sort_key order, and build every matrix."""
     aggregates = tuple(
@@ -310,12 +347,12 @@ def _assemble(
         for level in cfg.levels:
             baseline = lookup.get((spec.name, ScenarioSpec(MODE_BASELINE, level)))
             for mode in cfg.modes:
-                units = () if mode == MODE_BASELINE else dataset.taxonomy.unit_ids(level)
+                units = () if mode == MODE_BASELINE else taxonomy.unit_ids(level)
                 unit_rows = {
                     unit: lookup[(spec.name, ScenarioSpec(mode, level, unit))] for unit in units
                 }
                 matrices.append(
-                    build_matrix(spec.name, mode, level, baseline, unit_rows, dataset.taxonomy)
+                    build_matrix(spec.name, mode, level, baseline, unit_rows, taxonomy)
                 )
     matrices.sort(key=lambda m: (m.classifier, m.level, m.mode))
     return aggregates, tuple(matrices)
@@ -368,25 +405,119 @@ def _read_existing_cell(path: Path, fingerprint: str, key: CellKey) -> tuple[Gro
     return row, wall_time
 
 
+def _input_check(output_dir: Path, cfg: ExperimentConfig, new_dir: bool):
+    """Return check(role), which raises RunError naming cfg's input file of
+    that role unless its sha256 equals the one INPUTS_FILE records. A new
+    directory has the hashes recorded now, and so, with a warning, does one
+    written before they were recorded; an input that cannot be read then
+    fails before config.json is written. Each file is hashed at most once.
+    """
+    files = _input_files(cfg)
+    hashes: dict[str, str] = {}
+
+    def current(role: str) -> str:
+        if role not in hashes:
+            try:
+                hashes[role] = file_sha256(files[role])
+            except OSError as exc:
+                raise RunError(f"cannot read {role} file {files[role]}: {exc.strerror}") from exc
+        return hashes[role]
+
+    def decode(data: dict) -> dict:
+        recorded = _decode(data, lambda sha256: sha256)
+        if not isinstance(recorded, dict) or sorted(recorded) != sorted(files):
+            raise ValueError(f"sha256 holds {recorded!r}, expected the roles {sorted(files)}")
+        return recorded
+
+    path = output_dir / INPUTS_FILE
+    if new_dir or not path.exists():
+        if files and not new_dir:
+            print(
+                f"warning: {output_dir} records no input hashes; recording them now",
+                file=sys.stderr,
+            )
+        recorded = {role: current(role) for role in files}
+        atomic_write_text(path, dump_json({"format_version": FORMAT_VERSION, "sha256": recorded}))
+    else:
+        recorded = _read_stored(path, decode)
+
+    def check(role: str) -> None:
+        if role in files and current(role) != recorded[role]:
+            raise RunError(
+                f"{role} file {files[role]} changed since {output_dir} was first run "
+                f"(sha256 {hashes[role]}, recorded {recorded[role]}); "
+                "restore it or use a fresh directory"
+            )
+
+    return check
+
+
+def _compute_cells(
+    cfg: ExperimentConfig, dataset: Dataset, pending: list[tuple[CellKey, int]], finish
+) -> None:
+    """Compute the pending (key, seed) cells, serially or in a pool of
+    cfg.workers, and hand each to finish(key, result)."""
+    plan = partition_folds(dataset, cfg.k, cfg.strategy, cfg.seed)
+    if cfg.workers == 1 or len(pending) <= 1:
+        for key, seed in pending:
+            finish(key, partial(_compute_cell, dataset, plan, key, seed))
+        return
+    # spawn keeps worker state independent of the parent's thread state
+    pool = ProcessPoolExecutor(
+        max_workers=min(cfg.workers, len(pending)),
+        mp_context=get_context("spawn"),
+        initializer=_pool_init,
+        initargs=(dataset, plan),
+    )
+    # Cells are written as they finish. A failure or an interrupt
+    # cancels the queued cells and waits only for the running ones.
+    try:
+        futures = {pool.submit(_pool_task, (key, seed)): key for key, seed in pending}
+        for future in as_completed(futures):
+            finish(futures[future], future.result)
+    finally:
+        try:
+            pool.shutdown(cancel_futures=True)
+        except KeyboardInterrupt:  # a second one ends the wait: stop the workers
+            for worker in active_children():
+                worker.terminate()
+            raise
+
+
+def _environment() -> dict:
+    """What can change the arithmetic without changing the config."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "numpy": np.__version__,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "cpus": len(affinity(0)) if affinity else os.cpu_count(),
+    }
+
+
 def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
     fingerprint = config_fingerprint(cfg)
     output_dir.mkdir(parents=True, exist_ok=True)
 
     config_path = output_dir / CONFIG_FILE
-    if config_path.exists():
+    new_dir = not config_path.exists()
+    if not new_dir:
         stored = _read_stored(config_path, config_from_dict)
         if config_fingerprint(stored) != fingerprint:
             raise RunError(
                 f"output directory {output_dir} holds a different experiment; "
                 "use a fresh directory or restore the original config"
             )
+    check_input = _input_check(output_dir, cfg, new_dir)
+    # The taxonomy's labels shape the plan and run.json, so it is checked
+    # on every run; the dataset only if a cell needs it.
+    check_input("taxonomy")
+    check_input("schema")
     atomic_write_text(config_path, dump_json(config_to_dict(cfg)))
     atomic_write_text(output_dir / MARKER_FILE, "run in progress or aborted\n")
 
     total_start = time.perf_counter()
-    dataset = load_experiment_dataset(cfg)
-    plan = partition_folds(dataset, cfg.k, cfg.strategy, cfg.seed)
-    cells = plan_cells(cfg, dataset)
+    taxonomy = experiment_taxonomy(cfg)
+    cells = plan_cells(cfg, taxonomy)
 
     done: dict[str, tuple[GroupRecallRow, float]] = {}
     pending: list[tuple[CellKey, int]] = []
@@ -408,38 +539,18 @@ def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
             raise RunError(f"cell {key.ident()} failed: {exc}") from exc
         done[key.path()] = row, wall_time
 
-    if cfg.workers == 1 or len(pending) <= 1:
-        for key, seed in pending:
-            finish(key, partial(_compute_cell, dataset, plan, key, seed))
-    else:
-        # spawn keeps worker state independent of the parent's thread state
-        pool = ProcessPoolExecutor(
-            max_workers=min(cfg.workers, len(pending)),
-            mp_context=get_context("spawn"),
-            initializer=_pool_init,
-            initargs=(dataset, plan),
-        )
-        # Cells are written as they finish. A failure or an interrupt
-        # cancels the queued cells and waits only for the running ones.
-        try:
-            futures = {pool.submit(_pool_task, (key, seed)): key for key, seed in pending}
-            for future in as_completed(futures):
-                finish(futures[future], future.result)
-        finally:
-            try:
-                pool.shutdown(cancel_futures=True)
-            except KeyboardInterrupt:  # a second one ends the wait: stop the workers
-                for worker in active_children():
-                    worker.terminate()
-                raise
+    if pending:
+        check_input("dataset")
+        _compute_cells(cfg, load_experiment_dataset(cfg, taxonomy), pending, finish)
 
     ordered = sorted((row for row, _ in done.values()), key=_sort_key)
-    aggregates, matrices = _assemble(cfg, dataset, ordered)
+    aggregates, matrices = _assemble(cfg, taxonomy, ordered)
     timing = {
         "total_seconds": time.perf_counter() - total_start,
         "computed_cells": len(pending),
         "reused_cells": len(cells) - len(pending),
         "cell_seconds": {key.path(): done[key.path()][1] for key in cells},
+        "environment": _environment(),
     }
     artifact = RunArtifact(
         config=config_identity(cfg),
@@ -462,8 +573,10 @@ def run(cfg: ExperimentConfig) -> RunArtifact:
 
 def resume(output_dir: str | Path) -> RunArtifact:
     """Recompute whatever cells are missing under an existing output
-    directory and rebuild run.json. Complete directories just get
-    reassembled from the stored cells.
+    directory and rebuild run.json. A complete directory is reassembled
+    from config.json, the taxonomy and its cell files, and its dataset is
+    never read; a partial one has its dataset checked against the recorded
+    sha256 and then parsed.
     """
     output_dir = Path(output_dir)
     config_path = output_dir / CONFIG_FILE

@@ -428,6 +428,12 @@ def _truncate(path: Path) -> None:
             "config.json", _edit_json(lambda d: d.update(k=2.0)), "resume", id="config-k-float"
         ),
         pytest.param(
+            "inputs.json",
+            _edit_json(lambda d: d["sha256"].update(dataset="0" * 64)),
+            "resume",
+            id="inputs-json-extra-role",
+        ),
+        pytest.param(
             "config.json",
             _edit_json(lambda d: d["dataset"]["synthetic"].update(benign_count=90.0)),
             "resume",

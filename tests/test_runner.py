@@ -13,13 +13,21 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from iidsbench import runner
 from iidsbench.classifiers import ClassifierSpec
-from iidsbench.dataset import AttackSpec, SyntheticConfig
+from iidsbench.cli import main
+from iidsbench.dataset import (
+    AttackSpec,
+    SyntheticConfig,
+    generate_synthetic,
+    taxonomy_to_csv,
+    write_dataset,
+)
 from iidsbench.errors import ConfigError, RunError
-from iidsbench.fileio import dump_json, read_json
+from iidsbench.fileio import dump_json, file_sha256, read_json
 from iidsbench.report import compare_to_csv
 from iidsbench.runner import (
     ExperimentConfig,
@@ -229,7 +237,7 @@ def test_cell_seed_distinct():
 def test_plan_cell_counts(tmp_path):
     cfg = small_config(tmp_path, synthetic=SYN_THREE, k=2, modes=("baseline", "omit"))
     dataset = load_experiment_dataset(cfg)
-    cells = plan_cells(cfg, dataset)
+    cells = plan_cells(cfg, dataset.taxonomy)
     # (1 baseline + 3 omit) scenarios x 2 folds
     assert len(cells) == 8
 
@@ -480,6 +488,136 @@ def test_resume_complete_directory_trains_nothing(tmp_path):
         assert p.stat().st_mtime_ns == stamp
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a complete resume must not load the dataset")
+
+
+def test_complete_resume_loads_no_dataset(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    run(small_config(out))
+    before = stripped(out)
+    for name in ("parse_dataset", "generate_synthetic", "partition_folds"):
+        monkeypatch.setattr(runner, name, _refuse)
+    artifact = resume(out)
+    assert artifact.timing["computed_cells"] == 0
+    assert stripped(out) == before
+
+
+@pytest.fixture
+def csv_run(tmp_path):
+    """A finished run over a CSV, a taxonomy CSV and a schema JSON: the
+    output directory and the three input paths."""
+    dataset = generate_synthetic(SYN_TWO)
+    data, tax, schema = tmp_path / "d.csv", tmp_path / "tax.csv", tmp_path / "schema.json"
+    write_dataset(dataset, data)
+    tax.write_text(taxonomy_to_csv(dataset.taxonomy))
+    features = [{"name": name, "kind": "numeric"} for name in dataset.schema.feature_names]
+    schema.write_text(json.dumps({"features": features}))
+    out = tmp_path / "out"
+    cfg = small_config(
+        out,
+        synthetic=None,
+        dataset_path=str(data),
+        taxonomy_source=str(tax),
+        schema_source=str(schema),
+    )
+    run(cfg)
+    return out, data, tax, schema
+
+
+def test_inputs_recorded_beside_config(csv_run):
+    out, data, tax, schema = csv_run
+    recorded = read_json(out / runner.INPUTS_FILE)
+    assert recorded["format_version"] == "1"
+    assert recorded["sha256"] == {
+        "dataset": file_sha256(data),
+        "taxonomy": file_sha256(tax),
+        "schema": file_sha256(schema),
+    }
+    assert "sha256" not in read_json(out / "config.json")
+
+
+def test_complete_resume_needs_no_csv(csv_run, tmp_path):
+    out, data, _, _ = csv_run
+    before = stripped(out)
+    data.rename(tmp_path / "moved.csv")
+    artifact = resume(out)
+    assert artifact.timing["computed_cells"] == 0
+    assert stripped(out) == before
+
+
+def test_partial_resume_without_csv_names_it(csv_run, tmp_path, capsys):
+    out, data, _, _ = csv_run
+    data.rename(tmp_path / "moved.csv")
+    (out / "cells" / "forest" / "omit-attack-1" / "1.json").unlink()
+    mtimes = {p: p.stat().st_mtime_ns for p in (out / "cells").rglob("*.json")}
+    assert main(["resume", str(out)]) == 3
+    assert str(data) in capsys.readouterr().err
+    assert {p: p.stat().st_mtime_ns for p in (out / "cells").rglob("*.json")} == mtimes
+
+
+def test_edited_csv_fails_partial_resume(csv_run, capsys):
+    out, data, _, _ = csv_run
+    text = data.read_text()
+    data.write_text(text + text.splitlines()[1] + "\n")  # one row more
+    assert main(["resume", str(out)]) == 0  # complete: the capture is not read
+    (out / "cells" / "forest" / "baseline-attack" / "0.json").unlink()
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(data) in err and "changed" in err
+    assert not (out / "cells" / "forest" / "baseline-attack" / "0.json").exists()
+
+
+@pytest.mark.parametrize("role", ["taxonomy", "schema"])
+def test_edited_taxonomy_or_schema_fails_complete_resume(csv_run, capsys, role):
+    out, _, tax, schema = csv_run
+    path = tax if role == "taxonomy" else schema
+    path.write_text(path.read_text() + "\n")
+    assert main(["resume", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "changed" in err
+
+
+def test_untouched_inputs_resume(csv_run):
+    out, _, _, _ = csv_run
+    before = stripped(out)
+    (out / "cells" / "forest" / "only-attack-2" / "0.json").unlink()
+    artifact = resume(out)
+    assert artifact.timing["computed_cells"] == 1
+    assert stripped(out) == before
+
+
+def test_run_with_missing_input_writes_nothing(tmp_path):
+    out = tmp_path / "out"
+    cfg = small_config(out, synthetic=None, dataset_path=str(tmp_path / "absent.csv"))
+    with pytest.raises(RunError, match="cannot read dataset file .*absent.csv"):
+        run(cfg)
+    assert list(out.iterdir()) == []
+
+
+def test_directory_without_hashes_records_them(csv_run, capsys):
+    out, _, _, _ = csv_run
+    recorded = read_json(out / runner.INPUTS_FILE)
+    (out / runner.INPUTS_FILE).unlink()
+    capsys.readouterr()
+    resume(out)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("warning: ") and "input hashes" in err
+    assert read_json(out / runner.INPUTS_FILE) == recorded
+    resume(out)
+    assert capsys.readouterr().err == ""
+
+
+def test_timing_records_environment(tmp_path):
+    timing = run(small_config(tmp_path / "out")).timing
+    assert timing["environment"] == {
+        "numpy": np.__version__,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "cpus": len(os.sched_getaffinity(0)),
+    }
+
+
 def test_resume_without_config(tmp_path):
     with pytest.raises(RunError, match="config"):
         resume(tmp_path)
@@ -533,7 +671,7 @@ def test_parallel_failure_names_cell_and_keeps_readable_cells(tmp_path):
     assert (out / "INCOMPLETE").exists()
     fingerprint = config_fingerprint(cfg)
     stored = 0
-    for key in plan_cells(cfg, load_experiment_dataset(cfg)):
+    for key in plan_cells(cfg, load_experiment_dataset(cfg).taxonomy):
         if (out / key.path()).exists():
             row, _ = _read_existing_cell(out / key.path(), fingerprint, key)
             assert row.classifier == "forest"

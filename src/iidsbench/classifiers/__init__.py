@@ -6,9 +6,11 @@ The forest and the SVM train on the built matrix of windowed train rows; the
 MLP takes the window view of the encoded capture and gathers each
 mini-batch's rows from it, so no windowed train matrix is built. The forest
 sees categorical features as raw codes; the SVM and MLP see them one-hot.
-predict_dataset() builds and scores only the rows it is given. Both read
-each window from the dataset in capture order, so windows reach across split
-boundaries by design. Models are value objects; predict_dataset is pure.
+predict_dataset() scores the rows it is given in blocks of BLOCK_ROWS, so no
+cell builds its whole test matrix, and a row's score does not depend on the
+other rows requested with it. Both read each window from the dataset in
+capture order, so windows reach across split boundaries by design. Models
+are value objects; predict_dataset is pure.
 """
 
 from __future__ import annotations
@@ -94,18 +96,43 @@ def train(spec: ClassifierSpec, split: SplitInstance, d: Dataset) -> TrainedMode
     return TrainedModel(spec=spec, preprocessor=pre, params=params)
 
 
+# Rows scored per block. BLAS may take a different kernel, and so round
+# differently, for a product with another row count, so every svm and mlp
+# block goes through its products as exactly BLOCK_ROWS rows. The value
+# changes memory and speed only, never a score.
+BLOCK_ROWS = 1024
+
+
+def _block_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    if model.kind == KIND_FOREST:
+        return forest_scores(model.params, X)
+    if model.kind == KIND_SVM:
+        weights, bias = model.params
+        return svm_scores(weights, bias, X)
+    return mlp_scores(model.params, X)
+
+
 def predict_dataset(model: TrainedModel, d: Dataset, indices) -> tuple[np.ndarray, np.ndarray]:
     """Score the records `indices` of a full dataset, windowing over its
-    capture order, and return (malicious flags, scores). Only the requested
-    rows are built and scored.
-    """
-    X = transform(model.preprocessor, d.feature_matrix(), np.asarray(indices, dtype=np.int64))
-    if model.kind == KIND_FOREST:
-        scores = forest_scores(model.params, X)
-    elif model.kind == KIND_SVM:
-        weights, bias = model.params
-        scores = svm_scores(weights, bias, X)
-    else:
-        scores = mlp_scores(model.params, X)
-    return labels_from_scores(scores), scores
+    capture order, and return (malicious flags, scores).
 
+    The indices go in blocks of BLOCK_ROWS into one score vector. At window
+    1 only a block's own rows are encoded; at a wider window the capture is
+    encoded once into its window view, and each block gathers its rows from
+    it. An svm or mlp block short of BLOCK_ROWS rows is padded with copies of
+    its last row, whose scores are dropped. The forest's vote count is exact,
+    so its blocks are not padded. A record's score is therefore the same,
+    bit for bit, whatever other rows are requested with it.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    X, pre = d.feature_matrix(), model.preprocessor
+    windows = window_view(pre, X) if pre.window > 1 else None
+    scores = np.empty(len(idx), dtype=np.float64)
+    for lo in range(0, len(idx), BLOCK_ROWS):
+        block = idx[lo : lo + BLOCK_ROWS]
+        n = len(block)
+        if model.kind != KIND_FOREST:
+            block = np.pad(block, (0, BLOCK_ROWS - n), mode="edge")
+        rows = transform(pre, X, block) if windows is None else windows[block]
+        scores[lo : lo + n] = _block_scores(model, rows)[:n]
+    return labels_from_scores(scores), scores

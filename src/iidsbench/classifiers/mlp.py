@@ -48,15 +48,6 @@ def _forward(params: MlpParams, X: np.ndarray):
     return activations, pre
 
 
-def mlp_loss(params: MlpParams, X, y) -> float:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    _, pre = _forward(params, X)
-    z = pre[-1]
-    # BCE on logits: softplus(z) - y*z
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
-
-
 def mlp_loss_and_grads(params: MlpParams, X, y):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
@@ -102,6 +93,13 @@ def train_mlp(hyperparameters: dict, rows, y, seed: int, windows) -> MlpParams:
 
 
 def mlp_scores(params: MlpParams, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    _, pre = _forward(params, X)
-    return sigmoid(pre[-1][:, 0])
+    """Output probability per row. The output unit is a per-row reduction,
+    so a row's score does not depend on the rows scored with it; BLAS's
+    matrix-vector product may round a row differently by its position. The
+    hidden layers' products are row-independent for a fixed row count, which
+    is why predict_dataset scores svm and mlp rows in fixed-size blocks.
+    """
+    a = np.asarray(X, dtype=np.float64)
+    for W, b in zip(params.weights[:-1], params.biases[:-1]):
+        a = np.maximum(a @ W + b, 0.0)
+    return sigmoid(np.einsum("ij,j->i", a, params.weights[-1][:, 0]) + params.biases[-1][0])

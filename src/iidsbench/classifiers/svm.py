@@ -48,5 +48,9 @@ def train_linear_svm(hyperparameters: dict, X, y, seed: int) -> tuple[np.ndarray
 
 
 def svm_scores(weights: np.ndarray, bias: float, X) -> np.ndarray:
+    """Sigmoid of each row's margin. The margin is a per-row reduction, so a
+    row's score does not depend on the rows scored with it; BLAS's
+    matrix-vector product may round a row differently by its position.
+    """
     X = np.asarray(X, dtype=np.float64)
-    return sigmoid(X @ weights + bias)
+    return sigmoid(np.einsum("ij,j->i", X, weights) + bias)

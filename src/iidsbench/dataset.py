@@ -484,9 +484,11 @@ def parse_dataset(
         columns = [(name, col, books.get(name)) for name, col in zip(names, positions)]
         values = array("d")  # cells in row-major order
         labels = array("q")
+        lines = array("q")  # line number of each record
         missing: list[int] = []  # positions in values of blank numeric cells
         for row in reader:
             line = reader.line_num
+            lines.append(line)
             if len(row) != len(header):
                 raise DatasetError(
                     f"{path}: line {line}: expected {len(header)} fields, found {len(row)}"
@@ -523,6 +525,16 @@ def parse_dataset(
         raise DatasetError(f"{path}: no data rows")
 
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(labels), len(names))
+    # float() also reads nan, inf and text past the float range; only a
+    # blank cell may hold NaN here
+    nonfinite = ~np.isfinite(matrix)
+    nonfinite.reshape(-1)[missing] = False
+    if nonfinite.any():
+        r, c = np.argwhere(nonfinite)[0].tolist()
+        raise DatasetError(
+            f"{path}: line {lines[r]}: column {names[c]!r}: "
+            f"non-finite numeric value {float(matrix[r, c])}"
+        )
     if missing:
         flagged, blank_columns = np.divmod(np.asarray(missing), len(names))
         for fpos in np.unique(blank_columns).tolist():

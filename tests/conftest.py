@@ -8,6 +8,7 @@ import io
 import numpy as np
 import pytest
 
+from iidsbench.classifiers.mlp import MlpParams
 from iidsbench.dataset import (
     AttackCategory,
     AttackSpec,
@@ -78,6 +79,21 @@ def matrix_from_csv(text: str) -> tuple[list[str], list[str], list[list[float | 
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     cells = [[None if cell == UNDEFINED_TEXT else float(cell) for cell in row[1:]] for row in rows[1:]]
     return [row[0] for row in rows[1:]], rows[0][1:], cells
+
+
+def mlp_loss(params: MlpParams, X, y) -> float:
+    """Mean binary cross-entropy on logits of the net on (X, y), from a
+    forward pass written out here: the reference for finite-difference
+    checks of mlp_loss_and_grads's gradients.
+    """
+    a = np.asarray(X, dtype=np.float64)
+    last = len(params.weights) - 1
+    for l, (W, b) in enumerate(zip(params.weights, params.biases)):
+        a = a @ W + b
+        if l < last:
+            a = np.maximum(a, 0.0)
+    z = a[:, 0]
+    return float(np.mean(np.logaddexp(0.0, z) - np.asarray(y, dtype=np.float64) * z))
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from iidsbench.classifiers import ClassifierSpec
-from iidsbench.classifiers.mlp import init_params, mlp_loss, mlp_loss_and_grads
+from iidsbench.classifiers.mlp import init_params, mlp_loss_and_grads
 from iidsbench.dataset import (
     SCHEMA_GAS_PIPELINE,
     AttackSpec,
@@ -45,7 +45,7 @@ from iidsbench.splitting import (
     partition_folds,
 )
 
-from conftest import flat_taxonomy, tiny_dataset
+from conftest import flat_taxonomy, mlp_loss, tiny_dataset
 
 REAL_DATASET_ENV = "IIDSBENCH_GAS_PIPELINE_CSV"
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from iidsbench.classifiers import (
 )
 from iidsbench.dataset import generate_synthetic
 from iidsbench.errors import ConfigError, TrainError
+from iidsbench.runner import ExperimentConfig, run
 from iidsbench.splitting import ScenarioSpec, materialize_split, partition_folds
 
 from conftest import separable_config, tiny_dataset
@@ -186,14 +189,59 @@ def test_predict_dataset_indices_match_full_scores(kind, separable_dataset):
     idx = np.concatenate([[len(d) - 1, 0, 1, 1], split.test_indices[::-1]])
     flags, scores = predict_dataset(model, d, idx)
     assert (flags == all_flags[idx]).all()
-    if kind == "random_forest":
-        assert (scores == all_scores[idx]).all()
-    else:
-        # numpy hands a product with one row or one output column to OpenBLAS's
-        # matrix-vector routine, which computes the rows left over after its
-        # blocks of four with another kernel. So a score can move in its last
-        # bits with the number of rows scored beside it, on equal input rows.
-        np.testing.assert_allclose(scores, all_scores[idx], rtol=1e-12, atol=0)
+    assert (scores == all_scores[idx]).all()
+
+
+def overlapping_dataset():
+    """More than two score blocks of rows whose classes overlap, so that
+    scores stay off 0 and 1, where rounding differences would still show."""
+    cfg = separable_config(benign=2400, per_attack=200, offset=1.5, dim=6, seed=8)
+    return generate_synthetic(cfg)
+
+
+@pytest.mark.parametrize("window", [1, 3])
+@pytest.mark.parametrize("kind", ["linear_svm", "mlp"])
+def test_scores_do_not_depend_on_rows_beside_them(kind, window):
+    d = overlapping_dataset()
+    B = iidsbench.classifiers.BLOCK_ROWS
+    assert len(d) > 2 * B + 100
+    model = train(ClassifierSpec(kind, {**FAST_HP[kind], "window": window}, seed=2), baseline_split(d), d)
+    _, full = predict_dataset(model, d, np.arange(len(d)))
+    assert np.unique(full).size == len(d)  # none saturated at 0 or 1
+    rng = np.random.default_rng(17)
+    sizes = [1, 2, B - 1, B, B + 1, 2 * B + 100]
+    for trial in range(240):
+        size = sizes[trial] if trial < len(sizes) else int(rng.integers(1, 2 * B + 100))
+        idx = rng.choice(len(d), size, replace=False)
+        _, scores = predict_dataset(model, d, idx)
+        assert scores.tobytes() == full[idx].tobytes(), f"subset {trial} of {size} rows"
+
+
+def test_block_size_changes_no_score(tmp_path, monkeypatch):
+    d = overlapping_dataset()
+    split = baseline_split(d)
+    hp = {**FAST_HP, "random_forest": {"n_trees": 4}}
+    models = [
+        train(ClassifierSpec(kind, {**hp[kind], "window": window}, seed=5), split, d)
+        for kind in KINDS
+        for window in (1, 4)
+    ]
+    wanted = [predict_dataset(m, d, split.test_indices)[1] for m in models]
+    cfg = ExperimentConfig(
+        classifiers=tuple(ClassifierSpec(kind, hp[kind], name=kind) for kind in KINDS),
+        synthetic=separable_config(benign=400, per_attack=60, attack_ids=(1, 2, 3), offset=2.0),
+        k=2,
+        modes=("baseline", "omit"),
+    )
+    run(replace(cfg, output_dir=str(tmp_path / "a")))
+    # not a multiple of four, the rows BLAS's matrix-vector kernel takes at once
+    monkeypatch.setattr(iidsbench.classifiers, "BLOCK_ROWS", 13)
+    for model, scores in zip(models, wanted):
+        assert predict_dataset(model, d, split.test_indices)[1].tobytes() == scores.tobytes()
+    run(replace(cfg, output_dir=str(tmp_path / "b")))
+    texts = [(tmp_path / out / "run.json").read_text() for out in "ab"]
+    a, b = (text[: text.index('\n  "timing": ')] for text in texts)
+    assert a == b
 
 
 def test_fresh_attack_instances_detected():

@@ -93,6 +93,13 @@ def test_validate_corrupt_file(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_validate_rejects_non_finite_values(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("f0,f1,attack_type\nnan,1,0\n2.0,inf,1\n3.0,2,0\n4,1,1\n")
+    assert main(["validate", str(bad)]) == 1
+    assert "line 2: column 'f0': non-finite numeric value nan" in capsys.readouterr().err
+
+
 def test_validate_findings_exit_1(tmp_path, capsys):
     bad = tmp_path / "allbenign.csv"
     bad.write_text("f0,attack_type\n1.0,0\n2.0,0\n")

@@ -210,6 +210,15 @@ def test_parse_bad_float_names_line_and_column(tmp_path):
     assert "f0" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "+Infinity", "1e999"])
+def test_parse_rejects_non_finite_numeric_text(tmp_path, text):
+    path = tmp_path / "d.csv"
+    # the blank on line 2 is imputed, not rejected
+    path.write_text(f"f0,f1,attack_type\n,1,0\n2.0,1,1\n3.0,{text},0\n4,1,1\n")
+    with pytest.raises(DatasetError, match="line 4: column 'f1': non-finite numeric value"):
+        parse_dataset(path)
+
+
 def test_parse_unknown_attack_id(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("f0,attack_type\n1.0,0\n2.0,99\n")

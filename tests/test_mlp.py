@@ -9,12 +9,13 @@ from iidsbench.classifiers.base import fit_preprocessor, transform, window_view
 from iidsbench.classifiers.mlp import (
     MlpParams,
     init_params,
-    mlp_loss,
     mlp_loss_and_grads,
     mlp_scores,
     train_mlp,
 )
 from iidsbench.dataset import CATEGORICAL, NUMERIC, FeatureSchema
+
+from conftest import mlp_loss
 
 
 def test_gradient_check_small_net():

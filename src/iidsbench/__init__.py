@@ -57,7 +57,6 @@ from .splitting import (
     FoldPlan,
     ScenarioSpec,
     SplitInstance,
-    check_split,
     enumerate_scenarios,
     materialize_split,
     partition_folds,
@@ -91,7 +90,6 @@ __all__ = [
     "TrainedModel",
     "aggregate_folds",
     "builtin_taxonomy",
-    "check_split",
     "compare_experiments",
     "confusion",
     "dataset_stats",

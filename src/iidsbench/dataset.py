@@ -7,10 +7,13 @@ load-bearing: windowed classifiers consume rows relative to it. Attack type
 type at attack level and that type's category at category level, benign is
 unit 0 at both, and AttackTaxonomy.units alone maps types to units.
 
+A Dataset holds at least one row, and every label is benign or a type of
+its taxonomy: construction raises otherwise, so no later stage meets an
+empty dataset or a label it cannot score.
+
 The module covers four jobs: parsing/writing the CSV exchange format,
-validating invariants, summarizing label composition, and generating
-synthetic datasets with planted attack signatures for controlled
-experiments.
+checking label composition, summarizing it, and generating synthetic
+datasets with planted attack signatures for controlled experiments.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .errors import (
     check_text,
     reject_unknown_keys,
 )
-from .validation import Violation
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -216,7 +218,7 @@ def load_taxonomy(source: str | Path) -> AttackTaxonomy:
         return builtin_taxonomy()
     path = Path(source)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise TaxonomyError(f"cannot read taxonomy file {path}: {exc}") from exc
     rows = list(csv.reader(text.splitlines()))
@@ -280,7 +282,9 @@ def taxonomy_to_csv(tax: AttackTaxonomy) -> str:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Records in capture order: row i of `features` (n x F, float64) is
-    labeled by `attack_types[i]` (int64).
+    labeled by `attack_types[i]` (int64). Construction requires at least one
+    row and every label benign or a type of `taxonomy`; it raises
+    DatasetError or TaxonomyError otherwise. Unpickling does not check again.
     """
 
     schema: FeatureSchema
@@ -300,6 +304,9 @@ class Dataset:
             raise DatasetError(
                 f"{self.attack_types.shape} attack_types do not label {len(self.features)} rows"
             )
+        if not len(self.attack_types):
+            raise DatasetError("dataset has no rows")
+        self.taxonomy.units(self.attack_types, LEVEL_ATTACK)
 
     def __len__(self) -> int:
         return len(self.attack_types)
@@ -318,24 +325,17 @@ class Dataset:
         return self.taxonomy.units(self.attack_types, level)
 
 
-def validate_dataset(d: Dataset) -> list[Violation]:
-    """Check every label and composition invariant; report all findings,
-    label findings in record order.
+def validate_dataset(d: Dataset) -> list[str]:
+    """The composition findings, one line each; empty when the dataset holds
+    both benign and malicious records. Labels need no check: a Dataset's are
+    valid by construction.
     """
-    findings: list[Violation] = []
-    labels = d.attack_types
-    known = np.isin(labels, list(d.taxonomy.types))
-    for position in np.flatnonzero((labels != BENIGN) & ~known).tolist():
-        label = int(labels[position])
-        if label < 0:
-            message = f"negative attack_type {label}"
-        else:
-            message = f"attack_type {label} absent from taxonomy"
-        findings.append(Violation("label", message, position))
-    if not (labels == BENIGN).any():
-        findings.append(Violation("composition", "dataset has no benign records"))
-    if not known.any():
-        findings.append(Violation("composition", "dataset has no malicious records"))
+    malicious = d.binary_labels()
+    findings = []
+    if malicious.all():
+        findings.append("[composition] dataset has no benign records")
+    if not malicious.any():
+        findings.append("[composition] dataset has no malicious records")
     return findings
 
 
@@ -367,7 +367,7 @@ def dataset_stats(d: Dataset) -> StatsSummary:
         total=len(labels),
         benign_count=len(labels) - malicious,
         malicious_count=malicious,
-        malicious_fraction=malicious / len(labels) if len(labels) else 0.0,
+        malicious_fraction=malicious / len(labels),
         per_type=_unit_counts(d.units(LEVEL_ATTACK)),
         per_category=_unit_counts(d.units(LEVEL_CATEGORY)),
     )
@@ -425,7 +425,7 @@ def _schema_request(schema_source: str | Path, header: list[str]) -> tuple[list[
         return [n for n, _ in _GAS_PIPELINE_COLUMNS], [k for _, k in _GAS_PIPELINE_COLUMNS]
     path = Path(schema_source)
     try:
-        spec = json.loads(path.read_text(encoding="utf-8"))
+        spec = json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise DatasetError(f"cannot read schema file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -458,7 +458,7 @@ def parse_dataset(
         taxonomy = builtin_taxonomy()
     path = Path(path)
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
     with fh:

@@ -31,7 +31,8 @@ def dump_json(obj) -> str:
 
 
 def read_json(path: str | Path):
-    with open(path, encoding="utf-8") as fh:
+    """Decode a JSON file; a leading UTF-8 byte-order mark is skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
         return json.load(fh)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .dataset import LEVEL_ATTACK, LEVELS, AttackTaxonomy, Dataset
 from .errors import SplitError
-from .validation import Violation
 
 MODE_BASELINE = "baseline"
 MODE_OMIT = "omit"
@@ -156,59 +155,3 @@ def materialize_split(
         test_indices=np.flatnonzero(in_test),
     )
 
-
-def check_split(
-    d: Dataset,
-    s: SplitInstance,
-    plan: FoldPlan | None = None,
-) -> list[Violation]:
-    """Assert every SplitInstance invariant; empty report iff valid. The
-    benign-placement invariant needs the fold assignment, so it is checked
-    only when the plan is supplied.
-    """
-    findings: list[Violation] = []
-    n = len(d)
-    train = np.zeros(n, dtype=bool)
-    test = np.zeros(n, dtype=bool)
-    for name, mask, indices in (("train", train, s.train_indices), ("test", test, s.test_indices)):
-        arr = np.asarray(indices, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
-            findings.append(Violation("range", f"{name} indices fall outside 0..{n - 1}"))
-            arr = arr[(arr >= 0) & (arr < n)]
-        mask[arr] = True
-    overlap = np.flatnonzero(train & test)
-    if overlap.size:
-        listed = ", ".join(map(str, overlap[:10].tolist()))
-        findings.append(
-            Violation("overlap", f"{overlap.size} records in both train and test: {listed}")
-        )
-    uncovered = np.flatnonzero(~(train | test))
-    if uncovered.size:
-        listed = ", ".join(map(str, uncovered[:10].tolist()))
-        findings.append(
-            Violation("coverage", f"{uncovered.size} records in neither set: {listed}")
-        )
-
-    if s.scenario.mode == MODE_OMIT:
-        unit = _unit_mask(d, s.scenario)
-        for idx in np.flatnonzero(unit & train).tolist():
-            findings.append(
-                Violation("omit", "target-unit record present in train set", idx)
-            )
-    elif s.scenario.mode == MODE_ONLY:
-        unit = _unit_mask(d, s.scenario)
-        stray = d.binary_labels() & ~unit & train
-        for idx in np.flatnonzero(stray).tolist():
-            findings.append(
-                Violation("only", "malicious record outside target unit in train set", idx)
-            )
-
-    if plan is not None:
-        benign = ~d.binary_labels()
-        should_test = plan.assignment == s.fold
-        for idx in np.flatnonzero(benign & (test != should_test)).tolist():
-            expected = "test" if should_test[idx] else "train"
-            findings.append(
-                Violation("benign", f"benign record moved out of its {expected} position", idx)
-            )
-    return findings

@@ -1,9 +1,11 @@
-"""Shared builders for hand-sized datasets used across the test modules."""
+"""Helpers that make hand-sized datasets for the test modules, and
+check_split, the tests' oracle of the split invariants."""
 
 from __future__ import annotations
 
 import csv
 import io
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from iidsbench.dataset import (
     generate_synthetic,
 )
 from iidsbench.report import UNDEFINED_TEXT
+from iidsbench.splitting import FoldPlan, SplitInstance
 
 
 def flat_taxonomy(type_ids: list[int]) -> AttackTaxonomy:
@@ -94,6 +97,56 @@ def mlp_loss(params: MlpParams, X, y) -> float:
             a = np.maximum(a, 0.0)
     z = a[:, 0]
     return float(np.mean(np.logaddexp(0.0, z) - np.asarray(y, dtype=np.float64) * z))
+
+
+class Finding(NamedTuple):
+    message: str
+    record_index: int | None = None
+
+
+def check_split(d: Dataset, s: SplitInstance, plan: FoldPlan | None = None) -> list[Finding]:
+    """Every violated SplitInstance invariant; empty iff the split is valid.
+    The benign-placement invariant needs the fold assignment, so it is
+    checked only when the plan is supplied.
+    """
+    findings = []
+    n = len(d)
+    train = np.zeros(n, dtype=bool)
+    test = np.zeros(n, dtype=bool)
+    for name, mask, indices in (("train", train, s.train_indices), ("test", test, s.test_indices)):
+        arr = np.asarray(indices, dtype=np.int64)
+        if arr.size and (arr.min() < 0 or arr.max() >= n):
+            findings.append(Finding(f"{name} indices fall outside 0..{n - 1}"))
+            arr = arr[(arr >= 0) & (arr < n)]
+        mask[arr] = True
+    overlap = np.flatnonzero(train & test)
+    if overlap.size:
+        listed = ", ".join(map(str, overlap[:10].tolist()))
+        findings.append(Finding(f"{overlap.size} records in both train and test: {listed}"))
+    uncovered = np.flatnonzero(~(train | test))
+    if uncovered.size:
+        listed = ", ".join(map(str, uncovered[:10].tolist()))
+        findings.append(Finding(f"{uncovered.size} records in neither set: {listed}"))
+
+    malicious = d.binary_labels()
+    if s.scenario.mode != "baseline":
+        unit = d.units(s.scenario.level) == s.scenario.target
+        if s.scenario.mode == "omit":
+            leaked = unit & train
+            message = "target-unit record present in train set"
+        else:
+            leaked = malicious & ~unit & train
+            message = "malicious record outside target unit in train set"
+        for idx in np.flatnonzero(leaked).tolist():
+            findings.append(Finding(message, idx))
+
+    if plan is not None:
+        should_test = plan.assignment == s.fold
+        for idx in np.flatnonzero(~malicious & (test != should_test)).tolist():
+            expected = "test" if should_test[idx] else "train"
+            message = f"benign record moved out of its {expected} position"
+            findings.append(Finding(message, idx))
+    return findings
 
 
 @pytest.fixture

@@ -40,12 +40,11 @@ from iidsbench.metrics import (
 from iidsbench.runner import ExperimentConfig, compare_experiments, run
 from iidsbench.splitting import (
     ScenarioSpec,
-    check_split,
     materialize_split,
     partition_folds,
 )
 
-from conftest import flat_taxonomy, mlp_loss, tiny_dataset
+from conftest import check_split, flat_taxonomy, mlp_loss, tiny_dataset
 
 REAL_DATASET_ENV = "IIDSBENCH_GAS_PIPELINE_CSV"
 

@@ -13,13 +13,12 @@ from iidsbench.errors import SplitError
 from iidsbench.splitting import (
     ScenarioSpec,
     SplitInstance,
-    check_split,
     enumerate_scenarios,
     materialize_split,
     partition_folds,
 )
 
-from conftest import flat_taxonomy, tiny_dataset
+from conftest import check_split, flat_taxonomy, tiny_dataset
 
 
 # -- ScenarioSpec -----------------------------------------------------------

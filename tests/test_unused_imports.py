@@ -1,9 +1,12 @@
 """Every name imported under src/ and tests/ is read somewhere in its module,
 and so is every private module-level function, class and constant under src/.
+Every public module-level function and class under src/ is read by some
+module under src/, so no helper there serves only the tests.
 
 No linter runs offline, so this walks the syntax trees instead. A name
-listed in the module's __all__ counts as read: that is how a package
-re-exports it.
+listed in the module's __all__ counts as read for the import check: that is
+how a package re-exports it. It does not count for the public-name check,
+and neither does an import.
 """
 
 from __future__ import annotations
@@ -58,6 +61,27 @@ def unread_private_names(source: str) -> list[str]:
     ]
 
 
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes without a leading underscore that
+    no module of `sources` (path -> text) reads, as a name or an attribute."""
+    defined: list[tuple[str, int, str]] = []
+    read: set[str] = set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            (path, node.lineno, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{path} line {line}: {name}" for path, line, name in defined if name not in read]
+
+
 def test_unused_import_found():
     assert unused_imports("import os\nimport json\nfrom a import b, c\njson.dumps(c)\n") == [
         "line 1: os",
@@ -92,3 +116,20 @@ def test_no_unread_private_names():
         if (unread := unread_private_names(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_unread_public_name_found():
+    sources = {
+        "a.py": "__all__ = ['orphan', 'Used']\ndef orphan():\n    pass\nclass Used:\n    pass\n",
+        "b.py": "from a import orphan, Used\nimport a\ndef main():\n    return a.helper(Used)\n",
+        "c.py": "def helper():\n    return 1\n",
+    }
+    assert unread_public_names(sources) == ["a.py line 2: orphan", "b.py line 3: main"]
+
+
+def test_no_unread_public_names():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src").rglob("*.py"))
+    }
+    assert unread_public_names(sources) == []

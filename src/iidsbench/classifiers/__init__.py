@@ -1,21 +1,25 @@
 """The three reference detectors behind one train/predict interface.
 
-train() handles the shared pipeline: fit the preprocessor's encoding on
-the split's train rows only, then dispatch to the kind's training routine.
-The forest and the SVM train on the built matrix of windowed train rows; the
+train() dispatches on the kind. A tree depends only on the order of each
+feature's values, so the forest trains on raw values: numeric values and
+categorical codes as the dataset holds them, with thresholds in data units.
+The SVM and the MLP first fit an encoding on the split's train rows only,
+standardizing numeric features and one-hot encoding categorical ones. The
+forest and the SVM train on the built matrix of windowed train rows; the
 MLP takes the window view of the encoded capture and gathers each
-mini-batch's rows from it, so no windowed train matrix is built. The forest
-sees categorical features as raw codes; the SVM and MLP see them one-hot.
-predict_dataset() scores the rows it is given in blocks of BLOCK_ROWS, so no
-cell builds its whole test matrix, and a row's score does not depend on the
-other rows requested with it. Both read each window from the dataset in
-capture order, so windows reach across split boundaries by design. Models
-are value objects; predict_dataset is pure.
+mini-batch's rows from it, so no windowed train matrix is built, and its
+model keeps that view for predict_dataset on the same feature matrix, so
+the capture is encoded once per cell. predict_dataset() scores the rows it
+is given in blocks of BLOCK_ROWS, so no cell builds its whole test matrix,
+and a row's score does not depend on the other rows requested with it. Both
+read each window from the dataset in capture order, so windows reach across
+split boundaries by design. Models are value objects; predict_dataset is
+pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +36,7 @@ from .base import (
     PreprocessorState,
     fit_preprocessor,
     labels_from_scores,
+    raw_window_view,
     transform,
     window_view,
 )
@@ -59,8 +64,12 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
     spec: ClassifierSpec
-    preprocessor: PreprocessorState
+    preprocessor: PreprocessorState | None  # None for the forest, which reads raw values
+    n_features: int  # columns of the feature matrix it was trained on
     params: object  # kind-specific payload
+    # The mlp's (feature matrix, window view of its encoding) from training,
+    # which predict_dataset reuses on that same matrix instead of encoding it again
+    trained_view: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def kind(self) -> str:
@@ -78,22 +87,17 @@ def train(spec: ClassifierSpec, split: SplitInstance, d: Dataset) -> TrainedMode
     if bool(y_train.all()) or not bool(y_train.any()):
         raise TrainError("degenerate training labels")
 
-    pre = fit_preprocessor(
-        X[train_idx],
-        d.schema,
-        window=spec.hyperparameters["window"],
-        one_hot=spec.kind in (KIND_SVM, KIND_MLP),
-    )
-    if spec.kind == KIND_MLP:
-        params = train_mlp(spec.hyperparameters, train_idx, y_train, spec.seed, window_view(pre, X))
-    else:
-        X_train = transform(pre, X, train_idx)
-        if spec.kind == KIND_FOREST:
-            params = train_random_forest(spec.hyperparameters, X_train, y_train, spec.seed)
-        else:
-            params = train_linear_svm(spec.hyperparameters, X_train, y_train, spec.seed)
-
-    return TrainedModel(spec=spec, preprocessor=pre, params=params)
+    hp, window, n_features = spec.hyperparameters, spec.hyperparameters["window"], X.shape[1]
+    if spec.kind == KIND_FOREST:
+        params = train_random_forest(hp, raw_window_view(X, window)[train_idx], y_train, spec.seed)
+        return TrainedModel(spec, None, n_features, params)
+    pre = fit_preprocessor(X[train_idx], d.schema, window=window, one_hot=True)
+    if spec.kind == KIND_SVM:
+        params = train_linear_svm(hp, transform(pre, X, train_idx), y_train, spec.seed)
+        return TrainedModel(spec, pre, n_features, params)
+    windows = window_view(pre, X)
+    params = train_mlp(hp, train_idx, y_train, spec.seed, windows)
+    return TrainedModel(spec, pre, n_features, params, trained_view=(X, windows))
 
 
 # Rows scored per block. BLAS may take a different kernel, and so round
@@ -116,17 +120,30 @@ def predict_dataset(model: TrainedModel, d: Dataset, indices) -> tuple[np.ndarra
     """Score the records `indices` of a full dataset, windowing over its
     capture order, and return (malicious flags, scores).
 
-    The indices go in blocks of BLOCK_ROWS into one score vector. At window
-    1 only a block's own rows are encoded; at a wider window the capture is
-    encoded once into its window view, and each block gathers its rows from
-    it. An svm or mlp block short of BLOCK_ROWS rows is padded with copies of
-    its last row, whose scores are dropped. The forest's vote count is exact,
-    so its blocks are not padded. A record's score is therefore the same,
-    bit for bit, whatever other rows are requested with it.
+    The indices go in blocks of BLOCK_ROWS into one score vector. The forest
+    gathers each block's raw rows, from the zero-padded window view of the
+    capture at a wider window. The mlp gathers them from the window view it
+    trained on when given the same feature matrix. Otherwise an svm or mlp
+    block encodes only its own rows at window 1; at a wider window the
+    capture is encoded once into its window view, and each block gathers its
+    rows from it. An svm or mlp block short of BLOCK_ROWS rows is padded with
+    copies of its last row, whose scores are dropped. The forest's vote count
+    is exact, so its blocks are not padded. A record's score is therefore the
+    same, bit for bit, whatever other rows are requested with it.
     """
     idx = np.asarray(indices, dtype=np.int64)
     X, pre = d.feature_matrix(), model.preprocessor
-    windows = window_view(pre, X) if pre.window > 1 else None
+    if X.shape[1] != model.n_features:
+        raise ValueError(
+            f"feature arity mismatch: expected {model.n_features} columns, got {X.shape[1]}"
+        )
+    window = model.spec.hyperparameters["window"]
+    if pre is None:
+        windows = raw_window_view(X, window)
+    elif model.trained_view is not None and model.trained_view[0] is X:
+        windows = model.trained_view[1]
+    else:
+        windows = window_view(pre, X) if window > 1 else None
     scores = np.empty(len(idx), dtype=np.float64)
     for lo in range(0, len(idx), BLOCK_ROWS):
         block = idx[lo : lo + BLOCK_ROWS]

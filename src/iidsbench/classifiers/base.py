@@ -166,20 +166,40 @@ def _checked(p: PreprocessorState, features) -> np.ndarray:
     return X
 
 
+def _window_buffer(n: int, width: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zeroed matrix of window - 1 padding rows and then n rows of `width`
+    values, as (its last n rows, to be filled in place, and its read-only
+    (n, window * width) window view). View row i concatenates filled rows
+    i-w+1..i, with zero rows before index 0. Every view row is contiguous in
+    the buffer, so gathering rows from the view copies each one in a single
+    run, and no windowed matrix is built until rows are gathered.
+    """
+    padded = np.zeros((window - 1 + n, width), dtype=np.float64)
+    # view row i starts at padded[i], so it spans padded[i : i + window]
+    return padded[window - 1 :], sliding_window_view(padded.reshape(-1), window * width)[::width]
+
+
 def window_view(p: PreprocessorState, features) -> np.ndarray:
     """Encode a whole capture, given in capture order, once, and return its
-    read-only (len(features), window * encoded width) window view. Row i
-    concatenates encoded rows i-w+1..i; rows before index 0 are zero blocks.
-    Every row is contiguous in the padded encoding, so gathering rows from
-    the view copies each one in a single run, and no windowed matrix is
-    built until rows are gathered.
+    read-only (len(features), window * encoded width) window view; rows
+    before index 0 are zero blocks of the encoding.
     """
     X = _checked(p, features)
-    w, width = p.window, int(np.maximum(p.slots, 1).sum())
-    padded = np.zeros((w - 1 + len(X), width), dtype=np.float64)
-    _encode(p, X, padded[w - 1 :])
-    # view row i starts at padded[i], so it spans padded[i : i + w]
-    return sliding_window_view(padded.reshape(-1), w * width)[::width]
+    rows, view = _window_buffer(len(X), int(np.maximum(p.slots, 1).sum()), p.window)
+    _encode(p, X, rows)
+    return view
+
+
+def raw_window_view(features, window: int) -> np.ndarray:
+    """window_view of a capture's raw values, with padding rows of zero in
+    data units; at window 1, the feature matrix itself.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    if window == 1:
+        return X
+    rows, view = _window_buffer(len(X), X.shape[1], window)
+    rows[...] = X
+    return view
 
 
 def transform(p: PreprocessorState, features, rows) -> np.ndarray:

@@ -3,8 +3,10 @@ and scores each one, persists every cell to its own JSON file, and folds the
 results into run.json.
 
 run.json and the cell files are the JSON of the result records: a
-RunArtifact's fields, or a GroupRecallRow's plus config_hash and wall_time,
-each with format_version. _encode writes them and _decode reads them back.
+RunArtifact's fields, or a GroupRecallRow's plus config_hash,
+results_version and wall_time, each with format_version. _encode writes them
+and _decode reads them back. Existing cells are reused only under this
+config and this RESULTS_VERSION.
 
 Reruns are reproducible to the byte (timing aside): each cell gets its own
 seed derived by hashing the experiment seed with the cell identity, so
@@ -77,6 +79,10 @@ from .splitting import (
 )
 
 FORMAT_VERSION = "1"
+# The version of the numbers a cell holds. A change that moves any cell's
+# result bumps it, so that resume never mixes cells computed before the
+# change with cells computed after it. A cell file without one is "1".
+RESULTS_VERSION = "2"
 RUN_FILE = "run.json"
 CONFIG_FILE = "config.json"
 INPUTS_FILE = "inputs.json"
@@ -388,16 +394,22 @@ def load_artifact(output_dir: str | Path) -> RunArtifact:
 
 
 def _read_existing_cell(path: Path, fingerprint: str, key: CellKey) -> tuple[GroupRecallRow, float]:
-    """Read key's cell file, which must hold key's cell under this config."""
+    """Read key's cell file, which must hold key's cell under this config
+    and this RESULTS_VERSION."""
 
-    def cell(config_hash: str, wall_time: float, **row) -> tuple:
-        return config_hash, GroupRecallRow(**row), wall_time
+    def cell(config_hash: str, wall_time: float, results_version="1", **row) -> tuple:
+        return config_hash, results_version, GroupRecallRow(**row), wall_time
 
-    config_hash, row, wall_time = _read_stored(path, lambda data: _decode(data, cell))
+    config_hash, version, row, wall_time = _read_stored(path, lambda data: _decode(data, cell))
     if config_hash != fingerprint:
         raise RunError(
             f"cell {key.ident()} was produced by a different config "
             f"(stored {config_hash!r}, expected {fingerprint!r})"
+        )
+    if version != RESULTS_VERSION:
+        raise RunError(
+            f"cell {key.ident()} holds results version {version!r}, but this harness "
+            f"computes results version {RESULTS_VERSION!r}; use a fresh directory"
         )
     stored = f"{row.classifier}/{row.scenario.key()}/fold {row.fold}"
     if stored != key.ident():
@@ -533,7 +545,9 @@ def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
         or of its write, becomes a RunError naming the cell."""
         try:
             row, wall_time = result()
-            cell = _encode(row, config_hash=fingerprint, wall_time=wall_time)
+            cell = _encode(
+                row, config_hash=fingerprint, results_version=RESULTS_VERSION, wall_time=wall_time
+            )
             atomic_write_text(output_dir / key.path(), dump_json(cell))
         except Exception as exc:
             raise RunError(f"cell {key.ident()} failed: {exc}") from exc

@@ -16,10 +16,10 @@ from iidsbench.classifiers import (
     predict_dataset,
     train,
 )
-from iidsbench.dataset import generate_synthetic
+from iidsbench.dataset import Dataset, generate_synthetic
 from iidsbench.errors import ConfigError, TrainError
 from iidsbench.runner import ExperimentConfig, run
-from iidsbench.splitting import ScenarioSpec, materialize_split, partition_folds
+from iidsbench.splitting import ScenarioSpec, SplitInstance, materialize_split, partition_folds
 
 from conftest import separable_config, tiny_dataset
 
@@ -254,3 +254,82 @@ def test_fresh_attack_instances_detected():
     probe = generate_synthetic(probe_cfg)
     flags, _ = predict_dataset(model, probe, np.flatnonzero(probe.binary_labels()))
     assert flags.mean() >= 0.9
+
+
+def baseline_of(train_rows, test_rows) -> SplitInstance:
+    return SplitInstance(ScenarioSpec("baseline", "attack"), 0, train_rows, test_rows)
+
+
+def test_forest_threshold_in_data_units():
+    # Train values 0 (benign) and 2 (malicious) cut at their midpoint, 1.0
+    # exactly, and a record holding 1.0 goes left. Standardized by these
+    # train rows' mean and std, 1.0 lands above the cut and went right.
+    d = tiny_dataset([0] * 4 + [1] * 5 + [0], [[0.0]] * 4 + [[2.0]] * 5 + [[1.0]])
+    split = baseline_of(np.arange(9), np.array([9]))
+    spec = ClassifierSpec("random_forest", {"n_trees": 1, "max_depth": 1, "min_leaf": 1})
+    model = train(spec, split, d)
+    tree = model.params[0]
+    assert (tree.feature[0], tree.threshold[0]) == (0, 1.0)
+    _, scores = predict_dataset(model, d, split.test_indices)
+    assert scores.tolist() == [tree.fraction[tree.left[0]]] == [0.0]
+
+
+def test_windowed_forest_trains_on_raw_rows(monkeypatch):
+    d = tiny_dataset([0, 1] * 6, [[i + 1.0, 10.0 * (i + 1)] for i in range(12)])
+    split = baseline_of(np.array([0, 1, 4, 7]), np.arange(12))
+    seen = []
+    forest = iidsbench.classifiers.train_random_forest
+
+    def recording(hp, X, *rest):
+        seen.append(X)
+        return forest(hp, X, *rest)
+
+    monkeypatch.setattr(iidsbench.classifiers, "train_random_forest", recording)
+    train(ClassifierSpec("random_forest", {"n_trees": 1, "window": 3}), split, d)
+    padded = np.vstack([np.zeros((2, 2)), d.feature_matrix()])
+    expected = np.array([padded[i : i + 3].reshape(-1) for i in split.train_indices])
+    assert seen[0].tobytes() == expected.tobytes()
+
+
+def _refuse_encoding(*args, **kwargs):
+    raise AssertionError("a forest cell must not encode its features")
+
+
+def test_forest_cells_fit_and_encode_nothing(tmp_path, monkeypatch):
+    for name in ("fit_preprocessor", "transform", "window_view"):
+        monkeypatch.setattr(iidsbench.classifiers, name, _refuse_encoding)
+    monkeypatch.setattr(iidsbench.classifiers.base, "_encode", _refuse_encoding)
+    cfg = ExperimentConfig(
+        classifiers=tuple(
+            ClassifierSpec("random_forest", {"n_trees": 2, "window": w}, name=f"forest{w}")
+            for w in (1, 3)
+        ),
+        synthetic=separable_config(benign=200, per_attack=40, dim=3),
+        k=2,
+        modes=("baseline", "omit"),
+        output_dir=str(tmp_path / "out"),
+    )
+    assert run(cfg).timing["computed_cells"] == 12
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_mlp_cell_encodes_the_capture_once(window, monkeypatch):
+    d = overlapping_dataset()
+    split = baseline_split(d)
+    calls = []
+    encode = iidsbench.classifiers.base._encode
+
+    def counting(*args):
+        calls.append(args)
+        encode(*args)
+
+    monkeypatch.setattr(iidsbench.classifiers.base, "_encode", counting)
+    spec = ClassifierSpec("mlp", {**FAST_HP["mlp"], "epochs": 2, "window": window}, seed=6)
+    model = train(spec, split, d)
+    _, scores = predict_dataset(model, d, split.test_indices)
+    assert len(calls) == 1
+    # another dataset holding the same values is encoded afresh, to the same scores
+    copy = Dataset(d.schema, d.feature_matrix().copy(), d.labels(), d.taxonomy)
+    _, again = predict_dataset(model, copy, split.test_indices)
+    assert len(calls) > 1
+    assert again.tobytes() == scores.tobytes()

@@ -2,7 +2,8 @@
 
 Each test pins the sha256 of the canonical JSON of a finished run, so any
 change to parsing, splitting, preprocessing, training or scoring that moves
-a single number fails here. The windowed mlp digest reads the same with
+a single number fails here, and such a change bumps RESULTS_VERSION, which
+is pinned here with them. The windowed mlp digest reads the same with
 numpy's default OpenBLAS thread pool and with one BLAS thread; a BLAS build
 that sums matrix products in another order may move its last bits.
 """
@@ -22,13 +23,19 @@ from iidsbench.dataset import (
     SyntheticConfig,
     builtin_taxonomy,
 )
-from iidsbench.runner import ExperimentConfig, artifact_to_dict, run
+from iidsbench.runner import RESULTS_VERSION, ExperimentConfig, artifact_to_dict, run
 
 SYNTHETIC_DIGEST = "d74d7253f045b2ce6756f554226f6160fb494cae51b667d4b67798db9a0c84d6"
-GAS_CSV_DIGEST = "c4676bd53263be03acc248e4b9f3e9e3ba03f008f923a2a051508c39936493d4"
-FOREST_TIES_DIGEST = "04c319fb71db8159fc26f9e6e2fba583254756ea368e11ca2b9bb2018abb9beb"
+GAS_CSV_DIGEST = "6158ea1abc49fe6404411e8cdc3e5aaadfdfe5638984fa1971cc4705957ccc37"
+FOREST_TIES_DIGEST = "e03c5c47c21708e554404ad11cd3a6c51c088ea938d7b398d8b14ce292412f1e"
 MLP_WINDOWED_DIGEST = "8f84ea8ca981a0af0f371a43bdbe8e01a1aeb84a137a69b35c90ae514900c144"
 ELEVEN_TYPES_DIGEST = "42e7886e8f825e462a86aabcf7fc5c819add5f846f7798cfc2deb39dafd41352"
+# The results version the digests above were computed under.
+DIGESTS_RESULTS_VERSION = "2"
+
+
+def test_digests_pinned_under_current_results_version():
+    assert RESULTS_VERSION == DIGESTS_RESULTS_VERSION
 
 
 def digest(cfg: ExperimentConfig) -> str:

@@ -30,6 +30,7 @@ from iidsbench.errors import ConfigError, RunError
 from iidsbench.fileio import dump_json, file_sha256, read_json
 from iidsbench.report import compare_to_csv
 from iidsbench.runner import (
+    RESULTS_VERSION,
     ExperimentConfig,
     _read_existing_cell,
     artifact_to_dict,
@@ -288,6 +289,7 @@ def test_cell_file_contents(tmp_path):
     cell = read_json(tmp_path / "out" / "cells" / "forest" / "baseline-attack" / "0.json")
     assert cell["format_version"] == "1"
     assert cell["config_hash"] == config_fingerprint(cfg)
+    assert cell["results_version"] == RESULTS_VERSION
     assert cell["classifier"] == "forest"
     assert cell["fold"] == 0
     assert set(cell["values"]) == {"0", "1", "2"}
@@ -632,6 +634,44 @@ def test_resume_edited_config_mismatch(tmp_path):
     cfg_path.write_text(json.dumps(data))
     with pytest.raises(RunError, match="different config"):
         resume(out)
+
+
+def _set_results_version(path: Path, version: str | None) -> None:
+    """Rewrite a cell file with another results_version, or without one."""
+    cell = read_json(path)
+    if version is None:
+        del cell["results_version"]
+    else:
+        cell["results_version"] = version
+    path.write_text(dump_json(cell), encoding="utf-8")
+
+
+@pytest.mark.parametrize("version", ["1", None], ids=["v1", "absent"])
+@pytest.mark.parametrize("command", ["resume", "run"])
+def test_cell_of_another_results_version_refused(tmp_path, capsys, version, command):
+    out = tmp_path / "out"
+    cfg = small_config(out)
+    run(cfg)
+    before = without_timing(out)
+    edited = out / "cells" / "forest" / "baseline-attack" / "0.json"
+    original = edited.read_bytes()
+    _set_results_version(edited, version)
+    missing = out / "cells" / "forest" / "omit-attack-1" / "1.json"
+    missing.unlink()
+    message = (
+        "cell forest/baseline-attack/fold 0 holds results version '1', "
+        f"but this harness computes results version '{RESULTS_VERSION}'"
+    )
+    with pytest.raises(RunError) as refused:
+        resume(out) if command == "resume" else run(cfg)
+    assert message in str(refused.value)
+    assert main(["resume", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not missing.exists()  # refused before any cell was computed
+    # restored to the current version, the directory resumes to the same run.json
+    edited.write_bytes(original)
+    assert resume(out).timing["computed_cells"] == 1
+    assert without_timing(out) == before
 
 
 def test_run_into_foreign_directory_rejected(tmp_path):

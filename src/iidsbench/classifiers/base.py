@@ -81,39 +81,34 @@ class PreprocessorState:
     """The encoding fitted on train rows only, as it is applied: encoded
     column j is (x_j - shift[j]) / scale[j], or, where slots[j] > 0, slots[j]
     one-hot indicator columns of code x_j, codes past the last slot clipping
-    to it. Each output row concatenates the `window` newest encoded rows.
+    to it.
     """
 
     shift: np.ndarray
     scale: np.ndarray
     slots: np.ndarray
-    window: int
 
 
-def fit_preprocessor(
-    train_features, schema: FeatureSchema, window: int, one_hot: bool
-) -> PreprocessorState:
+def fit_preprocessor(train_features, schema: FeatureSchema) -> PreprocessorState:
     """Fit the encoding of the given train rows. A numeric feature with
     nonzero variance shifts by its train mean and scales by its population
-    std; every other feature passes through (shift 0, scale 1). With one_hot,
-    a categorical feature takes one slot per code of its book plus one for
-    the reserved unknown code.
+    std; every other feature passes through (shift 0, scale 1). A
+    categorical feature takes one slot per code of its book plus one for the
+    reserved unknown code.
     """
     X = np.asarray(train_features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise TrainError("empty train set")
-    check_int(window, "window", 1)
     stds = X.std(axis=0)
     scaled = np.array([kind == NUMERIC for kind in schema.feature_kinds]) & (stds != 0.0)
     slots = [
-        len(schema.categorical_codes.get(name, ())) + 1 if one_hot and kind == CATEGORICAL else 0
+        len(schema.categorical_codes.get(name, ())) + 1 if kind == CATEGORICAL else 0
         for name, kind in zip(schema.feature_names, schema.feature_kinds)
     ]
     return PreprocessorState(
         shift=np.where(scaled, X.mean(axis=0), 0.0),
         scale=np.where(scaled, stds, 1.0),
         slots=np.array(slots, dtype=np.int64),
-        window=window,
     )
 
 
@@ -156,69 +151,32 @@ def _encode(p: PreprocessorState, X: np.ndarray, out: np.ndarray) -> None:
         flat[codes] = 1.0
 
 
-def _checked(p: PreprocessorState, features) -> np.ndarray:
+def transform(p: PreprocessorState | None, features, window: int) -> np.ndarray:
+    """The read-only (n, window * width) window view of a whole capture of n
+    rows, given in capture order: view row i concatenates rows i-window+1..i,
+    with zero rows before index 0. The rows are the capture's raw values when
+    p is None, and otherwise its encoding under p, done once here. At window
+    1 the raw view is the feature matrix itself. Every view row is
+    contiguous in one buffer, so gathering rows from the view copies each in
+    a single run, and no windowed matrix is built until rows are gathered.
+    Train/test membership of a windowed row follows its last (newest) row.
+    """
     X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(p.slots):
+    if p is None and window == 1:
+        return X
+    if p is not None and (X.ndim != 2 or X.shape[1] != len(p.slots)):
         raise ValueError(
             f"feature arity mismatch: expected {len(p.slots)} columns, "
             f"got {X.shape[1] if X.ndim == 2 else 'non-matrix input'}"
         )
-    return X
-
-
-def _window_buffer(n: int, width: int, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """A zeroed matrix of window - 1 padding rows and then n rows of `width`
-    values, as (its last n rows, to be filled in place, and its read-only
-    (n, window * width) window view). View row i concatenates filled rows
-    i-w+1..i, with zero rows before index 0. Every view row is contiguous in
-    the buffer, so gathering rows from the view copies each one in a single
-    run, and no windowed matrix is built until rows are gathered.
-    """
-    padded = np.zeros((window - 1 + n, width), dtype=np.float64)
+    width = X.shape[1] if p is None else int(np.maximum(p.slots, 1).sum())
+    padded = np.zeros((window - 1 + len(X), width), dtype=np.float64)
+    if p is None:
+        padded[window - 1 :] = X
+    else:
+        _encode(p, X, padded[window - 1 :])
     # view row i starts at padded[i], so it spans padded[i : i + window]
-    return padded[window - 1 :], sliding_window_view(padded.reshape(-1), window * width)[::width]
-
-
-def window_view(p: PreprocessorState, features) -> np.ndarray:
-    """Encode a whole capture, given in capture order, once, and return its
-    read-only (len(features), window * encoded width) window view; rows
-    before index 0 are zero blocks of the encoding.
-    """
-    X = _checked(p, features)
-    rows, view = _window_buffer(len(X), int(np.maximum(p.slots, 1).sum()), p.window)
-    _encode(p, X, rows)
-    return view
-
-
-def raw_window_view(features, window: int) -> np.ndarray:
-    """window_view of a capture's raw values, with padding rows of zero in
-    data units; at window 1, the feature matrix itself.
-    """
-    X = np.asarray(features, dtype=np.float64)
-    if window == 1:
-        return X
-    rows, view = _window_buffer(len(X), X.shape[1], window)
-    rows[...] = X
-    return view
-
-
-def transform(p: PreprocessorState, features, rows) -> np.ndarray:
-    """Encode and window rows given in capture order, and return the output
-    rows named by the integer array `rows`, in that order, as one
-    C-contiguous matrix; row i is window_view's row i. Train/test membership
-    of a windowed row follows its last (newest) block. At window 1 only the
-    requested rows are encoded; otherwise they are gathered from
-    window_view of the whole capture.
-    """
-    X = _checked(p, features)
-    if p.window > 1:
-        return window_view(p, X)[rows]
-    # copying the rows before allocating out keeps peak RSS 4-6 MB lower
-    # on the forest benchmarks than the reverse order
-    X = X[rows]
-    out = np.zeros((len(X), int(np.maximum(p.slots, 1).sum())), dtype=np.float64)
-    _encode(p, X, out)
-    return out
+    return sliding_window_view(padded.reshape(-1), window * width)[::width]
 
 
 def labels_from_scores(scores: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Each node draws sqrt(F) candidate features without replacement and takes
 the (feature, threshold) pair minimizing weighted Gini impurity, with
-thresholds at midpoints between consecutive distinct sorted values. Ties
+thresholds at midpoints between consecutive distinct sorted values, or at
+the lower value where no float lies between the two. Ties
 keep the earliest candidate in draw order, then the lowest threshold, so
 training is deterministic given the seed. Leaves store the malicious
 fraction of their samples; a tree votes malicious when the reached leaf's
@@ -75,7 +76,11 @@ def _best_split(Xt, w, pos, idx, rng, m_try, min_leaf):
     i, b = np.unravel_index(np.argmin(cost), cost.shape)
     if cost[i, b] == np.inf:
         return None
-    return int(feats[i]), float((sv[i, b] + sv[i, b + 1]) / 2.0)
+    lo, hi = sv[i, b], sv[i, b + 1]
+    # halves first, so the sum cannot overflow; between adjacent floats the
+    # midpoint rounds to one of them, and the cut must keep lo on the left
+    mid = lo / 2 + hi / 2
+    return int(feats[i]), float(lo if mid >= hi else mid)
 
 
 def _grow_tree(Xt, w, pos, rng, max_depth, min_leaf, m_try) -> DecisionTree:
@@ -111,37 +116,39 @@ def _grow_tree(Xt, w, pos, rng, max_depth, min_leaf, m_try) -> DecisionTree:
     )
 
 
-def _bootstrap(X, y, rng):
-    """Draw a bootstrap sample (same size as the train set, with replacement)
-    and return its distinct rows as a feature-major matrix, with the draw
-    count and the malicious draw count of each.
+def _bootstrap(windows, rows, y, rng):
+    """Draw a bootstrap sample of the train rows windows[rows] (as many draws
+    as rows, with replacement) and return its distinct rows as a
+    feature-major matrix, with the draw count and the malicious draw count
+    of each.
     """
-    n = len(y)
+    n = len(rows)
     draws = np.bincount(rng.integers(0, n, size=n), minlength=n)
-    rows = np.flatnonzero(draws)
-    w = draws[rows].astype(np.float64)
+    picked = np.flatnonzero(draws)
+    w = draws[picked].astype(np.float64)
     # gathered 1024 rows at a time so that no second full-size copy is ever live
-    Xt = np.empty((X.shape[1], len(rows)))
-    for start in range(0, len(rows), 1024):
-        Xt[:, start : start + 1024] = X[rows[start : start + 1024]].T
-    return Xt, w, np.where(y[rows], w, 0.0)
+    Xt = np.empty((windows.shape[1], len(picked)))
+    for start in range(0, len(picked), 1024):
+        Xt[:, start : start + 1024] = windows[rows[picked[start : start + 1024]]].T
+    return Xt, w, np.where(y[picked], w, 0.0)
 
 
-def train_random_forest(hyperparameters: dict, X, y, seed: int) -> list[DecisionTree]:
-    """Grow n_trees trees, each on its own bootstrap sample. Tree i trains
-    under its own RNG derived from (seed, i), so tree-level work could be
-    parallelized without changing the result.
+def train_random_forest(hyperparameters: dict, rows, y, seed: int, windows) -> list[DecisionTree]:
+    """Grow n_trees trees on the windowed rows windows[rows], labelled y,
+    each on its own bootstrap sample. Tree i trains under its own RNG
+    derived from (seed, i), so tree-level work could be parallelized without
+    changing the result.
     """
-    X = np.asarray(X, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.int64)
     y = np.asarray(y, dtype=bool)
-    m_try = sqrt_feature_count(X.shape[1])
+    m_try = sqrt_feature_count(windows.shape[1])
     trees = []
     for i in range(hyperparameters["n_trees"]):
         rng = np.random.default_rng((seed, i))
         # no reference to a sample outlives its tree, which keeps peak memory down
         trees.append(
             _grow_tree(
-                *_bootstrap(X, y, rng),
+                *_bootstrap(windows, rows, y, rng),
                 rng,
                 hyperparameters["max_depth"],
                 hyperparameters["min_leaf"],

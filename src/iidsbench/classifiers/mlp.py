@@ -70,8 +70,8 @@ def mlp_loss_and_grads(params: MlpParams, X, y):
 def train_mlp(hyperparameters: dict, rows, y, seed: int, windows) -> MlpParams:
     """Fit on the windowed rows windows[rows], labelled y, with y[i] the
     label of rows[i]. `windows` is a 2-D array or view of windowed rows, such
-    as base.window_view of the capture; each mini-batch gathers only its own
-    rows from it, so the (len(rows), row width) train matrix is never built.
+    as base.transform's; each mini-batch gathers only its own rows from it,
+    so the (len(rows), row width) train matrix is never built.
     """
     rows = np.asarray(rows, dtype=np.int64)
     y = np.asarray(y, dtype=np.float64)

@@ -16,12 +16,18 @@ import numpy as np
 from .base import sigmoid
 
 
-def train_linear_svm(hyperparameters: dict, X, y, seed: int) -> tuple[np.ndarray, float]:
+def train_linear_svm(
+    hyperparameters: dict, rows, y, seed: int, windows
+) -> tuple[np.ndarray, float]:
+    """Fit on the windowed rows windows[rows], labelled y, with y[i] the
+    label of rows[i]. Each step reads its one row from `windows`, a 2-D
+    array or view such as base.transform's, so no train matrix is built.
+    """
     lam = hyperparameters["lambda"]
     epochs = hyperparameters["epochs"]
-    X = np.asarray(X, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.int64)
     labels = np.where(np.asarray(y, dtype=bool), 1.0, -1.0)
-    n, n_features = X.shape
+    n, n_features = len(rows), windows.shape[1]
     w = np.zeros(n_features, dtype=np.float64)
     b = 0.0
     total = epochs * n
@@ -32,14 +38,16 @@ def train_linear_svm(hyperparameters: dict, X, y, seed: int) -> tuple[np.ndarray
     t = 0
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
-        for i in rng.permutation(n):
+        order = rng.permutation(n)
+        for i, label in zip(rows[order].tolist(), labels[order].tolist()):
+            x = windows[i]
             t += 1
             eta = 1.0 / (lam * t)
-            margin = labels[i] * (X[i] @ w + b)
+            margin = label * (x @ w + b)
             w *= 1.0 - eta * lam  # = 1 - 1/t
             if margin < 1.0:
-                w += eta * labels[i] * X[i]
-                b += eta * labels[i]
+                w += eta * label * x
+                b += eta * label
             if t >= tail_start:
                 w_sum += w
                 b_sum += b

@@ -172,7 +172,7 @@ def test_windowed_model_uses_capture_order():
     split = baseline_split(d)
     spec = ClassifierSpec("mlp", {"hidden": (8,), "epochs": 5, "window": 3})
     model = train(spec, split, d)
-    assert model.preprocessor.window == 3
+    assert model.trained_view[1].shape == (len(d), 3 * 3)  # three numeric features, three rows
     flags, scores = predict_dataset(model, d, split.test_indices)
     assert len(flags) == len(split.test_indices)
 
@@ -280,9 +280,9 @@ def test_windowed_forest_trains_on_raw_rows(monkeypatch):
     seen = []
     forest = iidsbench.classifiers.train_random_forest
 
-    def recording(hp, X, *rest):
-        seen.append(X)
-        return forest(hp, X, *rest)
+    def recording(hp, rows, y, seed, windows):
+        seen.append(windows[rows])
+        return forest(hp, rows, y, seed, windows)
 
     monkeypatch.setattr(iidsbench.classifiers, "train_random_forest", recording)
     train(ClassifierSpec("random_forest", {"n_trees": 1, "window": 3}), split, d)
@@ -296,8 +296,7 @@ def _refuse_encoding(*args, **kwargs):
 
 
 def test_forest_cells_fit_and_encode_nothing(tmp_path, monkeypatch):
-    for name in ("fit_preprocessor", "transform", "window_view"):
-        monkeypatch.setattr(iidsbench.classifiers, name, _refuse_encoding)
+    monkeypatch.setattr(iidsbench.classifiers, "fit_preprocessor", _refuse_encoding)
     monkeypatch.setattr(iidsbench.classifiers.base, "_encode", _refuse_encoding)
     cfg = ExperimentConfig(
         classifiers=tuple(
@@ -313,7 +312,8 @@ def test_forest_cells_fit_and_encode_nothing(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("window", [1, 3])
-def test_mlp_cell_encodes_the_capture_once(window, monkeypatch):
+@pytest.mark.parametrize("kind", ["mlp", "linear_svm"])
+def test_mlp_cell_encodes_the_capture_once(kind, window, monkeypatch):
     d = overlapping_dataset()
     split = baseline_split(d)
     calls = []
@@ -324,7 +324,7 @@ def test_mlp_cell_encodes_the_capture_once(window, monkeypatch):
         encode(*args)
 
     monkeypatch.setattr(iidsbench.classifiers.base, "_encode", counting)
-    spec = ClassifierSpec("mlp", {**FAST_HP["mlp"], "epochs": 2, "window": window}, seed=6)
+    spec = ClassifierSpec(kind, {**FAST_HP[kind], "epochs": 2, "window": window}, seed=6)
     model = train(spec, split, d)
     _, scores = predict_dataset(model, d, split.test_indices)
     assert len(calls) == 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from iidsbench.classifiers.base import transform
 from iidsbench.classifiers.forest import (
     _best_split,
     _grow_tree,
@@ -22,13 +23,13 @@ def hp(**overrides):
 def test_two_point_midpoint_split():
     x = np.array([[0.0], [1.0]])
     y = np.array([False, True])
-    forest = train_random_forest(hp(n_trees=1, min_leaf=1), x, y, seed=0)
+    forest = train_random_forest(hp(n_trees=1, min_leaf=1), np.arange(len(x)), y, 0, x)
     tree = forest[0]
     # bootstrap of 2 points may draw a pure sample; find a seed with both
     seed = 0
     while len(set(np.random.default_rng((seed, 0)).integers(0, 2, 2).tolist())) == 1:
         seed += 1
-    forest = train_random_forest(hp(n_trees=1, min_leaf=1), x, y, seed=seed)
+    forest = train_random_forest(hp(n_trees=1, min_leaf=1), np.arange(len(x)), y, seed, x)
     tree = forest[0]
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 0.5  # midpoint of the two distinct values
@@ -37,7 +38,7 @@ def test_two_point_midpoint_split():
 def test_pure_node_is_leaf():
     x = np.array([[0.0], [1.0], [2.0]])
     y = np.array([True, True, True])
-    forest = train_random_forest(hp(n_trees=3, min_leaf=1), x, y, seed=1)
+    forest = train_random_forest(hp(n_trees=3, min_leaf=1), np.arange(len(x)), y, 1, x)
     for tree in forest:
         assert tree.feature[0] == -1  # root is a leaf
         assert tree.fraction[0] == 1.0
@@ -47,7 +48,7 @@ def test_separable_sign_probe(rng):
     x = rng.normal(0, 1, size=(100, 1))
     x = x[abs(x[:, 0]) > 0.05]  # keep a margin around the boundary
     y = x[:, 0] > 0
-    forest = train_random_forest(hp(n_trees=20), x, y, seed=3)
+    forest = train_random_forest(hp(n_trees=20), np.arange(len(x)), y, 3, x)
     scores = forest_scores(forest, np.array([[-1.0], [1.0]]))
     assert scores[0] < 0.5
     assert scores[1] > 0.5
@@ -58,7 +59,7 @@ def test_single_unbounded_tree_memorizes(rng):
     y = rng.integers(0, 2, 60).astype(bool)
     y[0], y[1] = False, True
     forest = train_random_forest(
-        {"n_trees": 1, "max_depth": None, "min_leaf": 1}, x, y, seed=5
+        {"n_trees": 1, "max_depth": None, "min_leaf": 1}, np.arange(len(x)), y, 5, x
     )
     # train on the bootstrap sample; accuracy must be 1.0 on it
     boot = np.random.default_rng((5, 0)).integers(0, 60, 60)
@@ -69,7 +70,7 @@ def test_single_unbounded_tree_memorizes(rng):
 def test_max_depth_respected(rng):
     x = rng.normal(size=(200, 3))
     y = rng.integers(0, 2, 200).astype(bool)
-    forest = train_random_forest(hp(n_trees=5, max_depth=2, min_leaf=1), x, y, seed=7)
+    forest = train_random_forest(hp(n_trees=5, max_depth=2, min_leaf=1), np.arange(len(x)), y, 7, x)
 
     def depth(tree, node=0):
         if tree.feature[node] == -1:
@@ -82,7 +83,7 @@ def test_max_depth_respected(rng):
 def test_all_trees_vote_malicious():
     x = np.vstack([np.zeros((10, 1)), np.ones((10, 1))])
     y = np.array([False] * 10 + [True] * 10)
-    forest = train_random_forest(hp(n_trees=9, min_leaf=1), x, y, seed=2)
+    forest = train_random_forest(hp(n_trees=9, min_leaf=1), np.arange(len(x)), y, 2, x)
     scores = forest_scores(forest, np.array([[1.0]]))
     assert scores[0] == 1.0
 
@@ -91,11 +92,11 @@ def test_deterministic(rng):
     x = rng.normal(size=(80, 3))
     y = rng.integers(0, 2, 80).astype(bool)
     y[:2] = [False, True]
-    a = train_random_forest(hp(n_trees=10), x, y, seed=11)
-    b = train_random_forest(hp(n_trees=10), x, y, seed=11)
+    a = train_random_forest(hp(n_trees=10), np.arange(len(x)), y, 11, x)
+    b = train_random_forest(hp(n_trees=10), np.arange(len(x)), y, 11, x)
     probe = rng.normal(size=(30, 3))
     assert (forest_scores(a, probe) == forest_scores(b, probe)).all()
-    c = train_random_forest(hp(n_trees=10), x, y, seed=12)
+    c = train_random_forest(hp(n_trees=10), np.arange(len(x)), y, 12, x)
     assert not (forest_scores(a, probe) == forest_scores(c, probe)).all()
 
 
@@ -264,7 +265,7 @@ def test_tree_over_distinct_rows_equals_tree_over_bootstrap(min_leaf):
     X = tied_matrix(rng, 80, 6)
     y = rng.random(80) < 0.4
     hyper = {"n_trees": 1, "max_depth": None, "min_leaf": min_leaf}
-    tree = train_random_forest(hyper, X, y, seed=min_leaf)[0]
+    tree = train_random_forest(hyper, np.arange(len(X)), y, min_leaf, X)[0]
     rng = np.random.default_rng((min_leaf, 0))
     boot = rng.integers(0, 80, 80)
     ones = np.ones(80)
@@ -274,3 +275,33 @@ def test_tree_over_distinct_rows_equals_tree_over_bootstrap(min_leaf):
     assert len(tree.feature) > 3
     for name in ("feature", "threshold", "left", "right", "fraction"):
         assert getattr(tree, name).tobytes() == getattr(expected, name).tobytes()
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_trees_from_window_view_match_built_matrix(window):
+    rng = np.random.default_rng(9)
+    X = tied_matrix(rng, 120, 4)
+    rows = rng.permutation(120)[:90]
+    y = rng.random(90) < 0.4
+    windows = transform(None, X, window)
+    hyper = {"n_trees": 3, "max_depth": None, "min_leaf": 1}
+    expected = train_random_forest(hyper, np.arange(len(rows)), y, 6, windows[rows])
+    got = train_random_forest(hyper, rows, y, 6, windows)
+    assert sum(len(tree.feature) for tree in got) > 9
+    for a, b in zip(got, expected, strict=True):
+        for name in ("feature", "threshold", "left", "right", "fraction"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@pytest.mark.parametrize("low", [1.0000000000000002, 1.0e308])
+def test_cut_between_close_or_huge_values_keeps_both_sides(low):
+    # 1.0000000000000004 is the float after 1.0000000000000002, so their
+    # midpoint rounds to one of the two; 1.0e308 + 1.7e308 overflows
+    high = np.nextafter(low, np.inf) if low < 2.0 else 1.7e308
+    x = np.array([[low]] * 4 + [[high]] * 4)
+    y = np.array([False] * 4 + [True] * 4)
+    for max_depth in (3, None):
+        hyper = {"n_trees": 1, "max_depth": max_depth, "min_leaf": 1}
+        tree = train_random_forest(hyper, np.arange(8), y, 0, x)[0]
+        assert low <= tree.threshold[0] < high
+        assert forest_scores([tree], np.array([[low], [high]])).tolist() == [0.0, 1.0]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from iidsbench.classifiers.base import fit_preprocessor, transform, window_view
+from iidsbench.classifiers.base import fit_preprocessor, transform
 from iidsbench.classifiers.mlp import (
     MlpParams,
     init_params,
@@ -137,8 +137,8 @@ def test_batches_from_window_view_match_built_matrix(window):
     rows = rng.permutation(n)[:300]  # shuffled, and 300 is no multiple of the batch size 64
     y = rng.integers(0, 2, len(rows)).astype(bool)
     hp = {"hidden": (8, 4), "learning_rate": 0.05, "batch_size": 64, "epochs": 2}
-    p = fit_preprocessor(X[rows], schema, window, one_hot=True)
-    expected = reference_train_mlp(hp, transform(p, X, rows), y, seed=9)
-    got = train_mlp(hp, rows, y, 9, window_view(p, X))
+    windows = transform(fit_preprocessor(X[rows], schema), X, window)
+    expected = reference_train_mlp(hp, windows[rows], y, seed=9)
+    got = train_mlp(hp, rows, y, 9, windows)
     for a, b in zip(got.weights + got.biases, expected.weights + expected.biases, strict=True):
         assert a.tobytes() == b.tobytes()

@@ -1,5 +1,6 @@
 """Standardization, zero-variance pass-through, one-hot coding, windowing,
-and the row selection of transform against a whole-capture reference."""
+and rows gathered from transform's window view against a whole-capture
+reference."""
 
 from __future__ import annotations
 
@@ -29,13 +30,9 @@ def numeric_schema(n_features: int) -> FeatureSchema:
     return schema_of((NUMERIC,) * n_features, (0,) * n_features)
 
 
-def every_row(p, x) -> np.ndarray:
-    return transform(p, x, np.arange(len(x)))
-
-
 def test_population_std():
     x = np.array([[1.0], [2.0], [3.0]])
-    p = fit_preprocessor(x, numeric_schema(1), 1, False)
+    p = fit_preprocessor(x, numeric_schema(1))
     assert p.shift[0] == 2.0
     assert p.scale[0] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
     assert p.scale[0] == pytest.approx(0.8165, abs=1e-4)
@@ -43,30 +40,30 @@ def test_population_std():
 
 def test_constant_column_passes_through():
     x = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
-    p = fit_preprocessor(x, numeric_schema(2), 1, False)
+    p = fit_preprocessor(x, numeric_schema(2))
     assert p.shift.tolist() == [0.0, 2.0]
     assert p.scale[0] == 1.0 and p.scale[1] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
-    out = every_row(p, x)
+    out = transform(p, x, 1)
     assert (out[:, 0] == 5.0).all()
 
 
 def test_empty_train_set():
     with pytest.raises(TrainError, match="empty train set"):
-        fit_preprocessor(np.empty((0, 2)), numeric_schema(2), 1, False)
+        fit_preprocessor(np.empty((0, 2)), numeric_schema(2))
 
 
 def test_window_dimensionality():
     x = np.arange(12.0).reshape(6, 2)
-    p = fit_preprocessor(x, numeric_schema(2), 3, False)
-    assert p.window == 3
-    out = every_row(p, x)
+    p = fit_preprocessor(x, numeric_schema(2))
+    out = transform(p, x, 3)
     assert out.shape == (6, 6)
+    assert not out.flags.writeable
 
 
 def test_window_two_layout():
     x = np.array([[1.0, 10.0], [2.0, 20.0]])
-    p = fit_preprocessor(x, numeric_schema(2), 2, False)
-    out = every_row(p, x)
+    p = fit_preprocessor(x, numeric_schema(2))
+    out = transform(p, x, 2)
     std0 = (x[0] - x.mean(axis=0)) / x.std(axis=0)
     std1 = (x[1] - x.mean(axis=0)) / x.std(axis=0)
     assert out[1] == pytest.approx(np.concatenate([std0, std1]), abs=1e-12)
@@ -75,15 +72,15 @@ def test_window_two_layout():
 
 def test_window_one_is_plain_standardization():
     x = np.array([[1.0], [3.0], [5.0]])
-    p = fit_preprocessor(x, numeric_schema(1), 1, False)
-    out = every_row(p, x)
+    p = fit_preprocessor(x, numeric_schema(1))
+    out = transform(p, x, 1)
     assert out == pytest.approx((x - x.mean()) / x.std(), abs=1e-12)
 
 
 def test_standardized_train_is_centered(rng):
     x = rng.normal(3.0, 2.5, size=(200, 5))
-    p = fit_preprocessor(x, numeric_schema(5), 1, False)
-    out = every_row(p, x)
+    p = fit_preprocessor(x, numeric_schema(5))
+    out = transform(p, x, 1)
     assert abs(out.mean(axis=0)).max() < 1e-9
     assert abs(out.std(axis=0) - 1.0).max() < 1e-9
 
@@ -91,50 +88,42 @@ def test_standardized_train_is_centered(rng):
 def test_no_test_leakage(rng):
     x = rng.normal(0.0, 1.0, size=(50, 3))
     train = x[:30]
-    p1 = fit_preprocessor(train, numeric_schema(3), 1, False)
+    p1 = fit_preprocessor(train, numeric_schema(3))
     x_mutated = x.copy()
     x_mutated[30:] = 1e6  # arbitrary test-set mutation
-    p2 = fit_preprocessor(x_mutated[:30], numeric_schema(3), 1, False)
+    p2 = fit_preprocessor(x_mutated[:30], numeric_schema(3))
     assert (p1.shift == p2.shift).all()
     assert (p1.scale == p2.scale).all()
 
 
 def test_arity_mismatch():
     x = np.ones((4, 3))
-    p = fit_preprocessor(x, numeric_schema(3), 1, False)
+    p = fit_preprocessor(x, numeric_schema(3))
     with pytest.raises(ValueError):
-        transform(p, np.ones((2, 2)), np.arange(2))
+        transform(p, np.ones((2, 2)), 1)
 
 
 def test_one_hot_encoding_with_unknown_slot():
     x = np.array([[0.0, 1.5], [1.0, 2.5], [2.0, 3.5]])
-    p = fit_preprocessor(x, schema_of((CATEGORICAL, NUMERIC), (3, 0)), 1, True)
+    p = fit_preprocessor(x, schema_of((CATEGORICAL, NUMERIC), (3, 0)))
     assert p.slots.tolist() == [4, 0]
-    out = every_row(p, x)
+    out = transform(p, x, 1)
     # 3 known codes + 1 reserved unknown + 1 numeric
     assert out.shape == (3, 5)
     assert out[0, :4].tolist() == [1.0, 0.0, 0.0, 0.0]
     assert out[2, :4].tolist() == [0.0, 0.0, 1.0, 0.0]
-    unseen = every_row(p, np.array([[7.0, 2.5]]))
+    unseen = transform(p, np.array([[7.0, 2.5]]), 1)
     assert unseen[0, :4].tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
-def test_categorical_raw_codes_without_one_hot():
-    x = np.array([[0.0], [2.0], [1.0]])
-    p = fit_preprocessor(x, schema_of((CATEGORICAL,), (3,)), 1, False)
-    assert p.slots.tolist() == [0]
-    out = every_row(p, x)
-    assert out[:, 0].tolist() == [0.0, 2.0, 1.0]
-
-
-def reference_encode(X, train, kinds, books, one_hot) -> np.ndarray:
+def reference_encode(X, train, kinds, books) -> np.ndarray:
     """The column loop _encode replaced, one numpy pass per feature, fitted
     from `train` by its own mean and population std: the oracle transform is
     checked against."""
     mean, std = train.mean(axis=0), train.std(axis=0)
     columns = []
     for j, kind in enumerate(kinds):
-        if kind == CATEGORICAL and one_hot:
+        if kind == CATEGORICAL:
             codes = np.clip(X[:, j].astype(np.int64), 0, books[j])
             block = np.zeros((len(X), books[j] + 1), dtype=np.float64)
             block[np.arange(len(X)), codes] = 1.0
@@ -146,9 +135,9 @@ def reference_encode(X, train, kinds, books, one_hot) -> np.ndarray:
     return np.hstack(columns)
 
 
-def reference_transform(X, train, kinds, books, one_hot, window) -> np.ndarray:
+def reference_transform(X, train, kinds, books, window) -> np.ndarray:
     """Every row windowed, one shifted copy per block: the oracle for transform."""
-    encoded = reference_encode(X, train, kinds, books, one_hot)
+    encoded = reference_encode(X, train, kinds, books)
     w = window
     if w == 1:
         return encoded
@@ -189,14 +178,13 @@ def categorical_capture(rng, n: int = 40) -> tuple[np.ndarray, tuple[str, ...], 
 
 
 def numeric_capture(rng, n: int = 40) -> tuple[np.ndarray, tuple[str, ...], tuple[int, ...]]:
-    """Numeric columns only, one of zero variance: no one-hot column either way."""
+    """Numeric columns only, one of zero variance: no one-hot column."""
     X = np.column_stack([rng.normal(5.0, 2.0, n), np.full(n, -3.25), rng.normal(0.0, 9.0, n)])
     return X, (NUMERIC,) * 3, (0, 0, 0)
 
 
-@pytest.mark.parametrize("one_hot", [True, False])
 @pytest.mark.parametrize("window", [1, 3, 5])
-def test_transform_rows_match_reference(rng, window, one_hot):
+def test_transform_rows_match_reference(rng, window):
     # n = 2,100 and the row sets of 1,023 to 1,025 rows reach across the
     # blocks of 1,024 rows in which one-hot rows are encoded
     for n in (40, 2100):
@@ -205,8 +193,9 @@ def test_transform_rows_match_reference(rng, window, one_hot):
             categorical_capture(rng, n),
             numeric_capture(rng, n),
         ):
-            p = fit_preprocessor(X[5:30], schema_of(kinds, books), window, one_hot)
-            expected = reference_transform(X, X[5:30], kinds, books, one_hot, window)
+            p = fit_preprocessor(X[5:30], schema_of(kinds, books))
+            expected = reference_transform(X, X[5:30], kinds, books, window)
+            view = transform(p, X, window)
             padded = np.arange(window - 1)  # rows whose windows reach before row 0
             for rows in (
                 padded,
@@ -216,15 +205,14 @@ def test_transform_rows_match_reference(rng, window, one_hot):
                 np.array([], dtype=np.int64),
                 *(rng.integers(0, n, size) for size in (1023, 1024, 1025)),
             ):
-                out = transform(p, X, rows)
+                out = view[rows]
                 assert out.dtype == np.float64 and out.flags.c_contiguous
                 assert out.shape == expected[rows].shape
                 assert out.tobytes() == expected[rows].tobytes()
 
 
-@pytest.mark.parametrize("one_hot", [True, False])
 @pytest.mark.parametrize("window", [1, 3])
-def test_transform_keeps_special_values_of_reference(rng, window, one_hot):
+def test_transform_keeps_special_values_of_reference(rng, window):
     # outside the fitted rows 5..29: signed zeros in every column, infinities
     # in the numeric ones, so pass-through columns must keep their bits
     for n in (40, 2100):
@@ -235,13 +223,14 @@ def test_transform_keeps_special_values_of_reference(rng, window, one_hot):
         X[[4, 37], 1] = -np.inf
         X[[30, 38], 4] = np.inf
         X[n - 40 :] = X[:40]  # at n = 2,100 the same rows again, in the third block of 1,024
-        p = fit_preprocessor(X[5:30], schema_of(kinds, books), window, one_hot)
-        assert np.signbit(reference_encode(X, X[5:30], kinds, books, one_hot)[0]).any()
-        expected = reference_transform(X, X[5:30], kinds, books, one_hot, window)
+        p = fit_preprocessor(X[5:30], schema_of(kinds, books))
+        assert np.signbit(reference_encode(X, X[5:30], kinds, books)[0]).any()
+        expected = reference_transform(X, X[5:30], kinds, books, window)
+        view = transform(p, X, window)
         for rows in (
             np.arange(n),
             np.arange(n)[::-1],
             np.array([38, 0, 2, 31, 4, 2, 17, 30, 1], dtype=np.int64),
             *(rng.integers(0, n, size) for size in (1023, 1024, 1025)),
         ):
-            assert transform(p, X, rows).tobytes() == expected[rows].tobytes()
+            assert view[rows].tobytes() == expected[rows].tobytes()

@@ -112,26 +112,20 @@ def fit_preprocessor(train_features, schema: FeatureSchema) -> PreprocessorState
     )
 
 
-# Rows encoded per step of the one-hot path, whose scratch arrays (a float and
-# an int64 copy of the one-hot columns, their flat offsets) cover one block.
+# Rows encoded per step of _encode, whose scratch arrays (a float and an
+# int64 copy of the one-hot columns, their flat offsets) cover one block.
 _BLOCK = 1024
 
 
 def _encode(p: PreprocessorState, X: np.ndarray, out: np.ndarray) -> None:
     """Write the encoded rows of X into out, a zeroed, C-contiguous
-    (len(X), encoded width) matrix. Plain columns take (X - shift) / scale,
-    so pass-through values keep their bits. Without one-hot features that is
-    one broadcast. Otherwise rows go _BLOCK at a time: one slice write per run
-    of consecutive plain features, then one flat scatter of the clipped codes
-    of every one-hot feature.
+    (len(X), encoded width) matrix, as transform passes it. Rows go _BLOCK
+    at a time: one slice write of (X - shift) / scale per run of consecutive
+    plain features, so pass-through values keep their bits, then one flat
+    scatter of the clipped codes of every one-hot feature. A capture
+    without one-hot features has one run and an empty scatter.
     """
     one_hot = p.slots > 0
-    if not one_hot.any():
-        np.subtract(X, p.shift, out=out)
-        out /= p.scale
-        return
-    if not out.flags.c_contiguous:
-        raise ValueError("the one-hot scatter needs a C-contiguous output matrix")
     widths = np.maximum(p.slots, 1)
     starts = np.cumsum(widths) - widths
     # [a, b) runs of consecutive plain features: the ends of each run of True

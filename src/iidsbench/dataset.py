@@ -54,6 +54,10 @@ LEVEL_ATTACK = "attack"
 LEVEL_CATEGORY = "category"
 LEVELS = (LEVEL_ATTACK, LEVEL_CATEGORY)
 
+# The largest attack-type or category id. Units are counted in tables
+# indexed by id, so an id sizes memory.
+MAX_UNIT_ID = 65_535
+
 
 # ---------------------------------------------------------------------------
 # Schema
@@ -124,15 +128,15 @@ class AttackTaxonomy:
         if not self.types:
             raise TaxonomyError("taxonomy has no attack types")
         for tid, at in self.types.items():
-            if tid <= 0:
-                raise TaxonomyError(f"attack type id must be positive, got {tid}")
+            if not 0 < tid <= MAX_UNIT_ID:
+                raise TaxonomyError(f"attack type id must be in 1..{MAX_UNIT_ID}, got {tid}")
             if at.category not in self.categories:
                 raise TaxonomyError(
                     f"attack type {tid} references missing category {at.category}"
                 )
         for cid in self.categories:
-            if cid <= 0:
-                raise TaxonomyError(f"category id must be positive, got {cid}")
+            if not 0 < cid <= MAX_UNIT_ID:
+                raise TaxonomyError(f"category id must be in 1..{MAX_UNIT_ID}, got {cid}")
 
     def category_of(self, attack_type: int) -> int:
         if attack_type == BENIGN:
@@ -657,6 +661,7 @@ class SyntheticConfig:
                     f"attack {spec.attack_type}: overlap_group {group} "
                     "members must share identical signature features"
                 )
+        synthetic_taxonomy(self)  # refuses ids past MAX_UNIT_ID before anything is written
 
 
 def synthetic_taxonomy(cfg: SyntheticConfig) -> AttackTaxonomy:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -38,6 +37,7 @@ import numpy as np
 
 from .classifiers import ClassifierSpec, TrainedModel, predict_dataset, train
 from .dataset import (
+    BENIGN,
     LEVEL_ATTACK,
     LEVELS,
     SCHEMA_INFER_NUMERIC,
@@ -364,11 +364,8 @@ def _assemble(
     return aggregates, tuple(matrices)
 
 
-def artifact_to_dict(artifact: RunArtifact, timing: bool = True) -> dict:
-    data = _encode(artifact)
-    if not timing:
-        del data["timing"]
-    return data
+def artifact_to_dict(artifact: RunArtifact) -> dict:
+    return _encode(artifact)
 
 
 def _read_stored(path: Path, decode):
@@ -393,9 +390,12 @@ def load_artifact(output_dir: str | Path) -> RunArtifact:
     return _read_stored(path, lambda data: _decode(data, _artifact))
 
 
-def _read_existing_cell(path: Path, fingerprint: str, key: CellKey) -> tuple[GroupRecallRow, float]:
+def _read_existing_cell(
+    path: Path, fingerprint: str, key: CellKey, taxonomy: AttackTaxonomy
+) -> tuple[GroupRecallRow, float]:
     """Read key's cell file, which must hold key's cell under this config
-    and this RESULTS_VERSION."""
+    and this RESULTS_VERSION, with a value for benign and for every unit of
+    taxonomy at the cell's level and for no other group."""
 
     def cell(config_hash: str, wall_time: float, results_version="1", **row) -> tuple:
         return config_hash, results_version, GroupRecallRow(**row), wall_time
@@ -414,15 +414,18 @@ def _read_existing_cell(path: Path, fingerprint: str, key: CellKey) -> tuple[Gro
     stored = f"{row.classifier}/{row.scenario.key()}/fold {row.fold}"
     if stored != key.ident():
         raise RunError(f"cell file {path} holds cell {stored}, not {key.ident()}")
+    groups = [BENIGN, *taxonomy.unit_ids(key.scenario.level)]
+    if sorted(row.values) != groups:
+        raise RunError(f"cell file {path} holds groups {sorted(row.values)}, expected {groups}")
     return row, wall_time
 
 
 def _input_check(output_dir: Path, cfg: ExperimentConfig, new_dir: bool):
     """Return check(role), which raises RunError naming cfg's input file of
     that role unless its sha256 equals the one INPUTS_FILE records. A new
-    directory has the hashes recorded now, and so, with a warning, does one
-    written before they were recorded; an input that cannot be read then
-    fails before config.json is written. Each file is hashed at most once.
+    directory has the hashes recorded now, so an input that cannot be read
+    fails before config.json is written; an existing directory without
+    INPUTS_FILE raises RunError naming it. Each file is hashed at most once.
     """
     files = _input_files(cfg)
     hashes: dict[str, str] = {}
@@ -442,12 +445,7 @@ def _input_check(output_dir: Path, cfg: ExperimentConfig, new_dir: bool):
         return recorded
 
     path = output_dir / INPUTS_FILE
-    if new_dir or not path.exists():
-        if files and not new_dir:
-            print(
-                f"warning: {output_dir} records no input hashes; recording them now",
-                file=sys.stderr,
-            )
+    if new_dir:
         recorded = {role: current(role) for role in files}
         atomic_write_text(path, dump_json({"format_version": FORMAT_VERSION, "sha256": recorded}))
     else:
@@ -536,7 +534,7 @@ def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
     for key in cells:
         path = output_dir / key.path()
         if path.exists():
-            done[key.path()] = _read_existing_cell(path, fingerprint, key)
+            done[key.path()] = _read_existing_cell(path, fingerprint, key, taxonomy)
         else:
             pending.append((key, cell_seed(cfg.seed, key.classifier.name, key.scenario, key.fold)))
 

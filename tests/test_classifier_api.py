@@ -153,8 +153,9 @@ def test_tie_scores_label_malicious():
 def test_predict_arity_mismatch(kind, separable_dataset):
     split = baseline_split(separable_dataset)
     model = train(ClassifierSpec(kind, FAST_HP[kind]), split, separable_dataset)
-    with pytest.raises(ValueError):
-        predict_dataset(model, tiny_dataset([0, 1]), [0, 1])  # 2 features, the model wants 4
+    # another capture, here of 2 features where the model trained on 4
+    with pytest.raises(ValueError, match="dataset it trained on"):
+        predict_dataset(model, tiny_dataset([0, 1]), [0, 1])
 
 
 def test_predict_on_records(separable_dataset):
@@ -249,10 +250,11 @@ def test_fresh_attack_instances_detected():
     d = generate_synthetic(cfg)
     split = baseline_split(d)
     model = train(ClassifierSpec("random_forest", {"n_trees": 25}), split, d)
-    # fresh draws from the same generating family, new seed
-    probe_cfg = separable_config(benign=1, per_attack=50, attack_ids=(1,), dim=3, seed=99)
-    probe = generate_synthetic(probe_cfg)
-    flags, _ = predict_dataset(model, probe, np.flatnonzero(probe.binary_labels()))
+    # the held-out fold's attack records, which no tree saw
+    test = np.asarray(split.test_indices)
+    fresh = test[d.binary_labels()[test]]
+    assert len(fresh) >= 10 and not np.isin(fresh, split.train_indices).any()
+    flags, _ = predict_dataset(model, d, fresh)
     assert flags.mean() >= 0.9
 
 
@@ -326,10 +328,10 @@ def test_mlp_cell_encodes_the_capture_once(kind, window, monkeypatch):
     monkeypatch.setattr(iidsbench.classifiers.base, "_encode", counting)
     spec = ClassifierSpec(kind, {**FAST_HP[kind], "epochs": 2, "window": window}, seed=6)
     model = train(spec, split, d)
-    _, scores = predict_dataset(model, d, split.test_indices)
+    predict_dataset(model, d, split.test_indices)
     assert len(calls) == 1
-    # another dataset holding the same values is encoded afresh, to the same scores
+    # a model scores only the capture it trained on, even one of equal values
     copy = Dataset(d.schema, d.feature_matrix().copy(), d.labels(), d.taxonomy)
-    _, again = predict_dataset(model, copy, split.test_indices)
-    assert len(calls) > 1
-    assert again.tobytes() == scores.tobytes()
+    with pytest.raises(ValueError, match="dataset it trained on"):
+        predict_dataset(model, copy, split.test_indices)
+    assert len(calls) == 1

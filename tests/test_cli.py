@@ -100,6 +100,18 @@ def test_validate_rejects_non_finite_values(tmp_path, capsys):
     assert "line 2: column 'f0': non-finite numeric value nan" in capsys.readouterr().err
 
 
+def test_validate_huge_taxonomy_id_exit_1(tmp_path, capsys):
+    tax = tmp_path / "tax.csv"
+    tax.write_text(
+        "kind,id,name,category,abbreviation\ncategory,1,c,,C\nattack,1000000000000,a,1,\n"
+    )
+    data = tmp_path / "d.csv"
+    data.write_text("f0,attack_type\n1.0,0\n2.0,1\n")
+    assert main(["validate", str(data), "--taxonomy", str(tax)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1000000000000" in err
+
+
 def test_validate_findings_exit_1(tmp_path, capsys):
     bad = tmp_path / "allbenign.csv"
     bad.write_text("f0,attack_type\n1.0,0\n2.0,0\n")
@@ -200,6 +212,11 @@ BAD_CONFIG_VALUES = {
         "synthetic",
     ),
     "synthetic-seed-bool": (lambda s: s.update(seed=True), "synthetic seed", "synthetic"),
+    "attack-type-huge": (
+        _in_attack(lambda a: a.update(attack_type=10**12)),
+        "attack type id",
+        "synthetic",
+    ),
 }
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from iidsbench.dataset import (
+    MAX_UNIT_ID,
     AttackCategory,
     AttackSpec,
     AttackTaxonomy,
@@ -94,6 +95,22 @@ def test_taxonomy_referential_integrity():
             types={1: AttackType("a", 9)},
             categories={1: AttackCategory("X", "x")},
         )
+
+
+@pytest.mark.parametrize("where", ["type", "category"])
+def test_taxonomy_refuses_ids_past_bound(where):
+    # an id sizes the tables units are counted in; 10**12 would need terabytes
+    big = 10**12
+    tid, cid = (big, 1) if where == "type" else (1, big)
+    with pytest.raises(TaxonomyError, match=f"{MAX_UNIT_ID}, got {big}$"):
+        AttackTaxonomy(
+            types={tid: AttackType("a", cid)}, categories={cid: AttackCategory("X", "x")}
+        )
+    edge = AttackTaxonomy(
+        types={MAX_UNIT_ID: AttackType("a", MAX_UNIT_ID)},
+        categories={MAX_UNIT_ID: AttackCategory("X", "x")},
+    )
+    assert edge.unit_ids("attack") == [MAX_UNIT_ID]
 
 
 def test_load_taxonomy_round_trip(tmp_path):
@@ -280,6 +297,26 @@ def test_round_trip_write_parse(tmp_path):
         assert y == float(f"{x:.9g}")
     # emitted text is a fixed point of the round trip
     assert dataset_to_csv(again) == path.read_text()
+
+
+def test_round_trip_categorical_and_blank_cells(tmp_path):
+    # a blank numeric cell takes the median (2.5) and the missing_any flag,
+    # which the written file then holds as a plain numeric column
+    path = tmp_path / "d.csv"
+    path.write_text("mode,f0,attack_type\nauto,1.5,0\nmanual,,1\nauto,3.5,0\noff,2.5,1\n")
+    features = [{"name": "mode", "kind": "categorical"}, {"name": "f0", "kind": "numeric"}]
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps({"features": features}))
+    d = parse_dataset(path, schema_source=schema_path)
+    written = tmp_path / "written.csv"
+    write_dataset(d, written)
+    assert written.read_text().splitlines()[2] == "manual,2.5,1,1"
+    kinds = [{"name": n, "kind": k} for n, k in zip(d.schema.feature_names, d.schema.feature_kinds)]
+    schema_path.write_text(json.dumps({"features": kinds}))
+    again = parse_dataset(written, schema_source=schema_path)
+    assert again.features.tobytes() == d.features.tobytes()
+    assert again.schema == d.schema
+    assert again.schema.categorical_codes == {"mode": ("auto", "manual", "off")}
 
 
 def parsed(d: Dataset) -> tuple:

@@ -39,7 +39,8 @@ def test_digests_pinned_under_current_results_version():
 
 
 def digest(cfg: ExperimentConfig) -> str:
-    data = artifact_to_dict(run(cfg), timing=False)
+    data = artifact_to_dict(run(cfg))
+    del data["timing"]
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

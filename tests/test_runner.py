@@ -598,17 +598,17 @@ def test_run_with_missing_input_writes_nothing(tmp_path):
     assert list(out.iterdir()) == []
 
 
-def test_directory_without_hashes_records_them(csv_run, capsys):
-    out, _, _, _ = csv_run
-    recorded = read_json(out / runner.INPUTS_FILE)
+def test_directory_without_hashes_refused(csv_run, capsys):
+    out, data, _, _ = csv_run
+    before = (out / "run.json").read_bytes()
     (out / runner.INPUTS_FILE).unlink()
+    data.write_text(data.read_text() + data.read_text().splitlines()[1] + "\n")
     capsys.readouterr()
-    resume(out)
+    assert main(["resume", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("warning: ") and "input hashes" in err
-    assert read_json(out / runner.INPUTS_FILE) == recorded
-    resume(out)
-    assert capsys.readouterr().err == ""
+    assert err.startswith("error: ") and runner.INPUTS_FILE in err
+    assert not (out / runner.INPUTS_FILE).exists()
+    assert (out / "run.json").read_bytes() == before
 
 
 def test_timing_records_environment(tmp_path):
@@ -674,6 +674,32 @@ def test_cell_of_another_results_version_refused(tmp_path, capsys, version, comm
     assert without_timing(out) == before
 
 
+# Edits to the group values of stored cells: (scenario, folds edited, edit).
+GROUP_EDITS = {
+    "one-fold-lacks-a-group": ("omit-attack-1", (0,), lambda values: values.pop("3")),
+    "every-fold-lacks-a-group": ("omit-attack-1", (0, 1), lambda values: values.pop("3")),
+    "unknown-group": ("omit-attack-2", (0, 1), lambda values: values.update({"9": 0.5})),
+}
+
+
+@pytest.mark.parametrize("case", GROUP_EDITS)
+def test_cell_with_other_groups_refused(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    run(small_config(out, synthetic=SYN_THREE))
+    before = (out / "run.json").read_bytes()
+    scenario, folds, edit = GROUP_EDITS[case]
+    paths = [out / "cells" / "forest" / scenario / f"{fold}.json" for fold in folds]
+    for path in paths:
+        cell = read_json(path)
+        edit(cell["values"])
+        path.write_text(dump_json(cell), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"cell file {paths[0]} holds groups" in err
+    assert (out / "run.json").read_bytes() == before
+
+
 def test_run_into_foreign_directory_rejected(tmp_path):
     out = tmp_path / "out"
     run(small_config(out))
@@ -711,9 +737,10 @@ def test_parallel_failure_names_cell_and_keeps_readable_cells(tmp_path):
     assert (out / "INCOMPLETE").exists()
     fingerprint = config_fingerprint(cfg)
     stored = 0
-    for key in plan_cells(cfg, load_experiment_dataset(cfg).taxonomy):
+    taxonomy = load_experiment_dataset(cfg).taxonomy
+    for key in plan_cells(cfg, taxonomy):
         if (out / key.path()).exists():
-            row, _ = _read_existing_cell(out / key.path(), fingerprint, key)
+            row, _ = _read_existing_cell(out / key.path(), fingerprint, key, taxonomy)
             assert row.classifier == "forest"
             stored += 1
     assert stored == len(list((out / "cells").rglob("*.json")))

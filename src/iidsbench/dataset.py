@@ -14,6 +14,12 @@ empty dataset or a label it cannot score.
 The module covers four jobs: parsing/writing the CSV exchange format,
 checking label composition, summarizing it, and generating synthetic
 datasets with planted attack signatures for controlled experiments.
+
+A CSV has two readers. numpy's C text reader reads the records of a
+well-formed file; a file it refuses, or whose table fails a check, goes to
+a per-cell loop over csv.reader. The loop alone defines a valid file and
+every error message, and the fast reader returns the same Dataset, bit for
+bit, for every file it accepts.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings
 from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -443,6 +450,13 @@ def _schema_request(schema_source: str | Path, header: list[str]) -> tuple[list[
     return names, kinds
 
 
+def _open_dataset(path: Path):
+    try:
+        return open(path, encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
+
+
 def parse_dataset(
     path: str | Path,
     schema_source: str | Path = SCHEMA_INFER_NUMERIC,
@@ -457,46 +471,171 @@ def parse_dataset(
     median computed over this file, and a missing_any flag feature is
     appended when any cell was missing. Categorical text encodes to integer
     codes in first-occurrence order; the code book lands in the schema.
+
+    The records are read by numpy's C text reader (_read_table). If it
+    refuses the file, or the table fails a check, the per-cell loop
+    (_read_rows) reads the file again and returns its Dataset or raises
+    DatasetError naming the line at fault.
     """
     if taxonomy is None:
         taxonomy = builtin_taxonomy()
     path = Path(path)
-    try:
-        fh = open(path, encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    with _open_dataset(path) as fh:
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        names, kinds = _schema_request(schema_source, header)
-        if DEFAULT_LABEL_COLUMN not in header:
-            raise DatasetError(f"{path}: missing label column {DEFAULT_LABEL_COLUMN!r}")
-        positions = []
-        for name in names:
-            if name not in header:
-                raise DatasetError(f"{path}: schema column {name!r} absent from header")
-            positions.append(header.index(name))
-        label_pos = header.index(DEFAULT_LABEL_COLUMN)
+    header = [h.strip() for h in header]
+    names, kinds = _schema_request(schema_source, header)
+    if DEFAULT_LABEL_COLUMN not in header:
+        raise DatasetError(f"{path}: missing label column {DEFAULT_LABEL_COLUMN!r}")
+    positions = []
+    for name in names:
+        if name not in header:
+            raise DatasetError(f"{path}: schema column {name!r} absent from header")
+        positions.append(header.index(name))
+    layout = _Layout(len(header), names, kinds, positions, header.index(DEFAULT_LABEL_COLUMN))
+    dataset = _read_table(path, layout, taxonomy)
+    if dataset is None:
+        dataset = _read_rows(path, layout, taxonomy)
+    return dataset
 
-        books: dict[str, dict[str, int]] = {
-            n: {} for n, k in zip(names, kinds) if k == CATEGORICAL
-        }
-        columns = [(name, col, books.get(name)) for name, col in zip(names, positions)]
-        values = array("d")  # cells in row-major order
-        labels = array("q")
-        lines = array("q")  # line number of each record
-        missing: list[int] = []  # positions in values of blank numeric cells
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where the schema's features and the label sit among a header's
+    columns."""
+
+    width: int  # columns in the header
+    names: list[str]
+    kinds: list[str]
+    positions: list[int]  # header column of each feature
+    label: int  # header column of the label
+
+    def books(self) -> dict[str, dict]:
+        return {n: {} for n, k in zip(self.names, self.kinds) if k == CATEGORICAL}
+
+
+# A quiet NaN that marks a blank numeric cell in _read_table's table. Neither
+# float() nor numpy's reader gives this payload to any text, so a blank
+# stays apart from a literal nan, which fails the load.
+_BLANK_BITS = 0x7FF8_0000_B1A2_0000
+_BLANK = float(np.array(_BLANK_BITS, dtype=np.int64).view(np.float64))
+
+
+class _CodeBook(dict):
+    """Raw cell text -> code, as a loadtxt converter. A text missing from
+    the dict is stripped and coded through `codes`, in first-occurrence
+    order of the stripped texts, so Python runs once per distinct raw text.
+    """
+
+    def __init__(self, codes: dict[str, int]):
+        super().__init__()
+        self.codes = codes
+
+    def __missing__(self, text: str) -> int:
+        code = self[text] = self.codes.setdefault(text.strip(), len(self.codes))
+        return code
+
+
+class _Numeric(dict):
+    """Cell text -> float, as a loadtxt converter: the empty text is the
+    blank marker, any other goes through float() as the loop reads it."""
+
+    __missing__ = float
+
+
+def _record_lines(fh):
+    """The lines after the header. A line that is empty or holds only
+    whitespace raises: loadtxt would skip an empty line, and the loop fails
+    the load on both."""
+    next(csv.reader(fh))
+    for line in fh:
+        if not line.strip():
+            raise ValueError("empty line")
+        yield line
+
+
+def _load_table(path: Path, layout: _Layout, blanks: bool) -> tuple[np.ndarray, dict]:
+    """The float64 table of every record and header column, and the code
+    books it was coded by. numpy parses a numeric cell itself, or, with
+    blanks, reads it through _Numeric."""
+    books = layout.books()
+    converters: dict = {col: len for col in range(layout.width)}  # outside the schema
+    for name, col in zip(layout.names, layout.positions):
+        if name in books:
+            converters[col] = _CodeBook(books[name]).__getitem__
+        elif blanks:
+            converters[col] = _Numeric({"": _BLANK}).__getitem__
+        else:
+            del converters[col]
+    converters[layout.label] = int
+    with _open_dataset(path) as fh:
+        table = np.loadtxt(
+            _record_lines(fh),
+            dtype=np.float64,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            ndmin=2,
+            converters=converters,
+            encoding=None,  # converters take str, under numpy 1.x as well
+        )
+    return table, books
+
+
+def _read_table(path: Path, layout: _Layout, taxonomy: AttackTaxonomy) -> Dataset | None:
+    """The Dataset that _read_rows would build, read by numpy's C text
+    reader; None on any exception or warning, or when a check fails. A file
+    with a blank numeric cell takes a second pass that reads its numeric
+    cells through _Numeric."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blanks = False
+            try:
+                table, books = _load_table(path, layout, blanks)
+            except Exception:
+                blanks = True
+                table, books = _load_table(path, layout, blanks)
+            if table.shape[1] != layout.width:
+                return None
+            labels = table[:, layout.label]
+            if not ((labels >= 0) & (labels <= MAX_UNIT_ID)).all():
+                return None
+            first, count = layout.positions[0], len(layout.positions)
+            if layout.positions == list(range(first, first + count)):
+                matrix = table[:, first : first + count]  # a view, not a copy
+            else:
+                matrix = table[:, layout.positions]
+            blank = matrix.view(np.int64) == _BLANK_BITS if blanks else None
+            finite = np.isfinite(matrix)
+            if not (finite.all() if blank is None else (finite | blank).all()):
+                return None
+            return _dataset(layout, books, matrix, blank, labels.astype(np.int64), taxonomy)
+    except Exception:
+        return None
+
+
+def _read_rows(path: Path, layout: _Layout, taxonomy: AttackTaxonomy) -> Dataset:
+    """The Dataset of the CSV at path, read cell by cell with csv.reader.
+    This loop defines a valid file: it raises DatasetError naming the line
+    of the first bad row, or else of the first non-finite numeric cell."""
+    names, width = layout.names, layout.width
+    books = layout.books()
+    columns = [(name, col, books.get(name)) for name, col in zip(names, layout.positions)]
+    values = array("d")  # cells in row-major order
+    labels = array("q")
+    lines = array("q")  # line number of each record
+    missing: list[int] = []  # positions in values of blank numeric cells
+    with _open_dataset(path) as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for row in reader:
             line = reader.line_num
             lines.append(line)
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}: line {line}: expected {len(header)} fields, found {len(row)}"
-                )
+            if len(row) != width:
+                raise DatasetError(f"{path}: line {line}: expected {width} fields, found {len(row)}")
             for name, col, book in columns:
                 text = row[col].strip()
                 if book is not None:
@@ -512,7 +651,7 @@ def parse_dataset(
                             f"{path}: line {line}: column {name!r}: "
                             f"unparseable numeric value {text!r}"
                         ) from None
-            label_text = row[label_pos].strip()
+            label_text = row[layout.label].strip()
             try:
                 label = int(label_text)
             except ValueError:
@@ -529,26 +668,38 @@ def parse_dataset(
         raise DatasetError(f"{path}: no data rows")
 
     matrix = np.frombuffer(values, dtype=np.float64).reshape(len(labels), len(names))
+    blank = np.zeros(matrix.shape, dtype=bool)
+    blank.reshape(-1)[missing] = True
     # float() also reads nan, inf and text past the float range; only a
     # blank cell may hold NaN here
-    nonfinite = ~np.isfinite(matrix)
-    nonfinite.reshape(-1)[missing] = False
+    nonfinite = ~np.isfinite(matrix) & ~blank
     if nonfinite.any():
         r, c = np.argwhere(nonfinite)[0].tolist()
         raise DatasetError(
             f"{path}: line {lines[r]}: column {names[c]!r}: "
             f"non-finite numeric value {float(matrix[r, c])}"
         )
-    if missing:
-        flagged, blank_columns = np.divmod(np.asarray(missing), len(names))
-        for fpos in np.unique(blank_columns).tolist():
-            column = matrix[:, fpos]
-            observed = column[~np.isnan(column)]
-            median = float(np.median(observed)) if observed.size else 0.0
-            column[np.isnan(column)] = median
-        flag = np.zeros(len(labels))
-        flag[flagged] = 1.0
-        matrix = np.column_stack((matrix, flag))
+    return _dataset(layout, books, matrix, blank, np.frombuffer(labels, dtype=np.int64), taxonomy)
+
+
+def _dataset(
+    layout: _Layout,
+    books: dict,
+    matrix: np.ndarray,
+    blank: np.ndarray | None,
+    labels: np.ndarray,
+    taxonomy: AttackTaxonomy,
+) -> Dataset:
+    """Build the Dataset of a parsed matrix. Where `blank` marks a blank
+    cell, a feature takes the median of its other cells (0 if it has none),
+    and a missing flag feature is appended when any cell was blank."""
+    names, kinds = layout.names, layout.kinds
+    if blank is not None and blank.any():
+        for fpos in np.flatnonzero(blank.any(axis=0)).tolist():
+            column, gaps = matrix[:, fpos], blank[:, fpos]
+            observed = column[~gaps]
+            column[gaps] = float(np.median(observed)) if observed.size else 0.0
+        matrix = np.column_stack((matrix, blank.any(axis=1).astype(np.float64)))
         flag_name = MISSING_FLAG_NAME
         while flag_name in names:
             flag_name += "_"
@@ -560,7 +711,7 @@ def parse_dataset(
         feature_kinds=tuple(kinds),
         categorical_codes={n: tuple(book) for n, book in books.items()},
     )
-    return Dataset(schema, matrix, np.frombuffer(labels, dtype=np.int64), taxonomy)
+    return Dataset(schema, matrix, labels, taxonomy)
 
 
 def _format_numeric(value: float) -> str:

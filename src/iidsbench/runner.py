@@ -522,11 +522,13 @@ def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
     # on every run; the dataset only if a cell needs it.
     check_input("taxonomy")
     check_input("schema")
+    total_start = time.perf_counter()
+    # loaded before config.json is written, so that a taxonomy which fails
+    # to load leaves a directory that the fixed taxonomy can still start
+    taxonomy = experiment_taxonomy(cfg)
     atomic_write_text(config_path, dump_json(config_to_dict(cfg)))
     atomic_write_text(output_dir / MARKER_FILE, "run in progress or aborted\n")
 
-    total_start = time.perf_counter()
-    taxonomy = experiment_taxonomy(cfg)
     cells = plan_cells(cfg, taxonomy)
 
     done: dict[str, tuple[GroupRecallRow, float]] = {}

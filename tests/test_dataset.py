@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import asdict
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iidsbench import dataset as dataset_module
 from iidsbench.dataset import (
     MAX_UNIT_ID,
     AttackCategory,
@@ -342,6 +344,162 @@ def test_leading_bom_is_skipped(tmp_path, kind):
     marked = tmp_path / "marked"
     marked.write_text("\ufeff" + text, encoding="utf-8")
     assert load(marked) == load(plain)
+
+
+NUMERIC_PAIR = ("numeric", "numeric")
+MISSING_FLAGGED = (("f0", "f1", "missing_any"), ("numeric",) * 3, {})
+
+# Awkward files and what parse_dataset makes of them: a sidecar schema's
+# features (None: infer-numeric), then either the error after "<path>: " or
+# the (names, kinds, code books), the feature rows and the labels.
+PARSE_CORPUS = {
+    "empty-line": ("f0,attack_type\n1.0,0\n\n2.0,1\n", None, "line 3: expected 2 fields, found 0"),
+    "whitespace-numeric-cell": (
+        "f0,f1,attack_type\n1.0, ,0\n2.0,4.0,1\n3.0,6.0,0\n",
+        None,
+        (MISSING_FLAGGED, [[1, 5, 1], [2, 4, 0], [3, 6, 0]], [0, 1, 0]),
+    ),
+    "underscore-and-arabic-digit": (
+        "f0,attack_type\n1_0,0\n\u0663,1\n",
+        None,
+        ((("f0",), ("numeric",), {}), [[10], [3]], [0, 1]),
+    ),
+    "quoted-newline-and-numbers": (
+        'mode,f0,attack_type\n"a\nb","1.5",0\n"c","2",1\n"a\nb",3,0\n',
+        [("mode", "categorical"), ("f0", "numeric")],
+        ((("mode", "f0"), ("categorical", "numeric"), {"mode": ("a\nb", "c")}),
+         [[0, 1.5], [1, 2], [0, 3]], [0, 1, 0]),
+    ),
+    "crlf": (
+        "f0,attack_type\r\n1.5,0\r\n-2.5,1\r\n",
+        None,
+        ((("f0",), ("numeric",), {}), [[1.5], [-2.5]], [0, 1]),
+    ),
+    "leading-space-category": (
+        "mode,attack_type\n a,0\na,1\nb ,0\n",
+        [("mode", "categorical")],
+        ((("mode",), ("categorical",), {"mode": ("a", "b")}), [[0], [0], [1]], [0, 1, 0]),
+    ),
+    "blank-only-in-last-row": (
+        "f0,f1,attack_type\n1,2,0\n3,4,1\n5,,0\n",
+        None,
+        (MISSING_FLAGGED, [[1, 2, 0], [3, 4, 0], [5, 3, 1]], [0, 1, 0]),
+    ),
+    "header-only": ("f0,attack_type\n", None, "no data rows"),
+    "fourth-field-on-every-row": (
+        "f0,f1,attack_type\n1,2,0,9\n3,4,1,9\n", None, "line 2: expected 3 fields, found 4"
+    ),
+    "label-1.0": ("f0,attack_type\n1,0\n2,1.0\n", None, "line 3: unparseable attack_type '1.0'"),
+    "label-signed-and-spaced": (
+        "f0,attack_type\n1,0\n2, +3 \n", None, ((("f0",), ("numeric",), {}), [[1], [2]], [0, 3])
+    ),
+    "label-past-int64": (
+        "f0,attack_type\n1,0\n2,99999999999999999999\n",
+        None,
+        "line 3: unknown attack_type id 99999999999999999999",
+    ),
+    "nan-then-unparseable": (
+        "f0,attack_type\nnan,0\nx,1\n", None, "line 3: column 'f0': unparseable numeric value 'x'"
+    ),
+    "sidecar-reorders-and-omits": (
+        "a,b,c,attack_type\n1,2,3,0\n4,5,6,1\n",
+        [("c", "numeric"), ("a", "numeric")],
+        ((("c", "a"), NUMERIC_PAIR, {}), [[3, 1], [6, 4]], [0, 1]),
+    ),
+}
+
+
+def write_case(tmp_path, text: str, features) -> tuple[Path, str | Path]:
+    """The CSV at a path, byte for byte, and the schema source to read it by."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if features is None:
+        return path, "infer-numeric"
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"features": [{"name": n, "kind": k} for n, k in features]}))
+    return path, schema
+
+
+@pytest.mark.parametrize("case", PARSE_CORPUS)
+def test_parse_corpus_pinned(tmp_path, case):
+    text, features, expected = PARSE_CORPUS[case]
+    path, schema = write_case(tmp_path, text, features)
+    if isinstance(expected, str):
+        with pytest.raises(DatasetError) as err:
+            parse_dataset(path, schema)
+        assert str(err.value) == f"{path}: {expected}"
+        return
+    (names, kinds, books), rows, labels = expected
+    d = parse_dataset(path, schema)
+    assert d.schema == FeatureSchema(names, kinds, books)
+    assert d.features.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+    assert d.features.shape == (len(rows), len(names))
+    assert d.attack_types.tobytes() == np.array(labels, dtype=np.int64).tobytes()
+
+
+def read_both_ways(monkeypatch, path, schema) -> list[tuple]:
+    """parse_dataset's result by the per-cell loop alone, then by numpy's
+    reader with the loop made to raise."""
+    results = []
+    for name, stand_in in (("_read_table", lambda *args: None), ("_read_rows", _refuse_loop)):
+        with monkeypatch.context() as patch:
+            patch.setattr(dataset_module, name, stand_in)
+            d = parse_dataset(path, schema)
+        results.append((d.schema, d.features.tobytes(), d.features.shape, d.attack_types.tobytes()))
+    return results
+
+
+def _refuse_loop(*args):
+    raise AssertionError("the per-cell loop ran")
+
+
+WELL_FORMED = {
+    # categoricals, quoted cells and CRLF, with and without blank cells
+    "no-blanks": 'mode,f0,"f1",attack_type\r\nauto,1.5,"2",0\r\n"man, ual",-3e-1,4,1\r\n'
+    ' auto,"5",6,0\r\n"x""y",7,8,3\r\n',
+    "blanks": 'mode,f0,"f1",attack_type\r\nauto,1.5,"2",0\r\n"man, ual",,3e-1,1\r\n'
+    ' auto,"-4","",0\r\n"x""y",7,8,3\r\n',
+}
+
+
+@pytest.mark.parametrize("case", WELL_FORMED)
+def test_well_formed_csv_skips_the_loop(tmp_path, monkeypatch, case):
+    features = [("mode", "categorical"), ("f0", "numeric"), ("f1", "numeric")]
+    path, schema = write_case(tmp_path, WELL_FORMED[case], features)
+    by_loop, by_table = read_both_ways(monkeypatch, path, schema)
+    assert by_table == by_loop
+    assert by_table[0].categorical_codes == {"mode": ("auto", "man, ual", 'x"y')}
+
+
+# Files that numpy's reader refuses, or whose table fails a check, so the
+# loop must decide them: the loop's error, or a Dataset.
+LOOP_DECIDES = {
+    "unparseable-cell": "f0,attack_type\n1,0\nx,1\n",
+    "empty-line": "f0,attack_type\n1,0\n\n2,1\n",
+    "whitespace-numeric-cell": "f0,f1,attack_type\n1, ,0\n2,4,1\n",
+    "no-records": "f0,attack_type\n",
+    "rows-wider-than-header": "f0,f1,attack_type\n1,2,0,9\n3,4,1,9\n",
+    "non-finite-cell": "f0,attack_type\n1,0\ninf,1\n",
+    "negative-label": "f0,attack_type\n1,0\n2,-1\n",
+    "label-past-id-range": "f0,attack_type\n1,0\n2,99999999999999999999\n",
+    "label-outside-taxonomy": "f0,attack_type\n1,0\n2,99\n",
+}
+
+
+@pytest.mark.parametrize("case", LOOP_DECIDES)
+def test_refused_csv_reaches_the_loop(tmp_path, monkeypatch, case):
+    path, schema = write_case(tmp_path, LOOP_DECIDES[case], None)
+    calls = []
+    loop = dataset_module._read_rows
+
+    def spy(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(dataset_module, "_read_rows", spy)
+    with contextlib.suppress(DatasetError):
+        parse_dataset(path, schema)
+    assert len(calls) == 1
 
 
 # -- validation -------------------------------------------------------------

@@ -598,6 +598,27 @@ def test_run_with_missing_input_writes_nothing(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_taxonomy_that_fails_to_load_leaves_no_config(tmp_path, capsys):
+    # the taxonomy loads before config.json is written, so once it is fixed
+    # the same run into the same directory starts afresh
+    dataset = generate_synthetic(SYN_TWO)
+    data, tax, out = tmp_path / "d.csv", tmp_path / "tax.csv", tmp_path / "out"
+    write_dataset(dataset, data)
+    cfg = small_config(out, synthetic=None, dataset_path=str(data), taxonomy_source=str(tax))
+    config = tmp_path / "config.json"
+    config.write_text(dump_json(config_to_dict(cfg)), encoding="utf-8")
+    good = taxonomy_to_csv(dataset.taxonomy)
+    tax.write_text(good + "attack,3,b,9,\n")
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+    assert "attack type 3 references missing category 9" in capsys.readouterr().err
+    assert not (out / "config.json").exists()
+    tax.write_text(good)
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    fresh = tmp_path / "fresh"
+    run(replace(cfg, output_dir=str(fresh)))
+    assert stripped(out) == stripped(fresh)
+
+
 def test_directory_without_hashes_refused(csv_run, capsys):
     out, data, _, _ = csv_run
     before = (out / "run.json").read_bytes()

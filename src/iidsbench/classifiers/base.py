@@ -158,11 +158,6 @@ def transform(p: PreprocessorState | None, features, window: int) -> np.ndarray:
     X = np.asarray(features, dtype=np.float64)
     if p is None and window == 1:
         return X
-    if p is not None and (X.ndim != 2 or X.shape[1] != len(p.slots)):
-        raise ValueError(
-            f"feature arity mismatch: expected {len(p.slots)} columns, "
-            f"got {X.shape[1] if X.ndim == 2 else 'non-matrix input'}"
-        )
     width = X.shape[1] if p is None else int(np.maximum(p.slots, 1).sum())
     padded = np.zeros((window - 1 + len(X), width), dtype=np.float64)
     if p is None:

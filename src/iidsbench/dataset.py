@@ -15,11 +15,10 @@ The module covers four jobs: parsing/writing the CSV exchange format,
 checking label composition, summarizing it, and generating synthetic
 datasets with planted attack signatures for controlled experiments.
 
-A CSV has two readers. numpy's C text reader reads the records of a
-well-formed file; a file it refuses, or whose table fails a check, goes to
-a per-cell loop over csv.reader. The loop alone defines a valid file and
-every error message, and the fast reader returns the same Dataset, bit for
-bit, for every file it accepts.
+numpy's C text reader reads every valid CSV. A file it refuses, whose
+table fails a check, or that holds an empty line, which numpy skips, is
+walked once more with csv.reader, only to name the line at fault; the walk
+builds nothing.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings
-from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -473,9 +472,11 @@ def parse_dataset(
     codes in first-occurrence order; the code book lands in the schema.
 
     The records are read by numpy's C text reader (_read_table). If it
-    refuses the file, or the table fails a check, the per-cell loop
-    (_read_rows) reads the file again and returns its Dataset or raises
-    DatasetError naming the line at fault.
+    refuses the file, or the table fails a check, or the file holds an
+    empty line, which numpy skips, a walk with csv.reader (_first_error)
+    finds the line at fault and the DatasetError naming it is raised. A
+    refused file whose walk finds no fault raises a DatasetError chained to
+    the reader's exception.
     """
     if taxonomy is None:
         taxonomy = builtin_taxonomy()
@@ -494,10 +495,19 @@ def parse_dataset(
         if name not in header:
             raise DatasetError(f"{path}: schema column {name!r} absent from header")
         positions.append(header.index(name))
+    FeatureSchema(tuple(names), tuple(kinds))  # a schema fault comes before any record's
     layout = _Layout(len(header), names, kinds, positions, header.index(DEFAULT_LABEL_COLUMN))
-    dataset = _read_table(path, layout, taxonomy)
-    if dataset is None:
-        dataset = _read_rows(path, layout, taxonomy)
+    try:
+        dataset, empty_line = _read_table(path, layout, taxonomy)
+    except Exception as exc:
+        error = _first_error(path, layout, taxonomy)
+        if error is None:
+            raise DatasetError(f"{path}: numpy's reader refused the file: {exc}") from exc
+        raise error from None
+    if empty_line:  # outside a quoted cell, the walk refuses it
+        error = _first_error(path, layout, taxonomy)
+        if error is not None:
+            raise error
     return dataset
 
 
@@ -540,39 +550,49 @@ class _CodeBook(dict):
 
 class _Numeric(dict):
     """Cell text -> float, as a loadtxt converter: the empty text is the
-    blank marker, any other goes through float() as the loop reads it."""
+    blank marker, any other goes through float(), which strips it."""
 
     __missing__ = float
 
 
-def _record_lines(fh):
-    """The lines after the header. A line that is empty or holds only
-    whitespace raises: loadtxt would skip an empty line, and the loop fails
-    the load on both."""
+class _PaddedNumeric(_Numeric):
+    """As _Numeric, and a text of only whitespace is the blank marker too."""
+
+    def __missing__(self, text: str) -> float:
+        return float(text) if text.strip() else _BLANK
+
+
+def _record_lines(fh, empty: list):
+    """The lines after the header. numpy skips an empty line, so an empty
+    or whitespace-only line is also put in `empty`."""
     next(csv.reader(fh))
     for line in fh:
         if not line.strip():
-            raise ValueError("empty line")
+            empty.append(line)
         yield line
 
 
-def _load_table(path: Path, layout: _Layout, blanks: bool) -> tuple[np.ndarray, dict]:
-    """The float64 table of every record and header column, and the code
-    books it was coded by. numpy parses a numeric cell itself, or, with
-    blanks, reads it through _Numeric."""
+def _load_table(
+    path: Path, layout: _Layout, numeric: type[_Numeric] | None
+) -> tuple[np.ndarray, dict, bool]:
+    """The float64 table of every record and header column, the code books
+    it was coded by, and whether the file holds an empty line. numpy parses
+    a numeric cell itself, or, given a converter class, reads it through
+    that."""
     books = layout.books()
     converters: dict = {col: len for col in range(layout.width)}  # outside the schema
     for name, col in zip(layout.names, layout.positions):
         if name in books:
             converters[col] = _CodeBook(books[name]).__getitem__
-        elif blanks:
-            converters[col] = _Numeric({"": _BLANK}).__getitem__
+        elif numeric is not None:
+            converters[col] = numeric({"": _BLANK}).__getitem__
         else:
             del converters[col]
     converters[layout.label] = int
+    empty: list[str] = []
     with _open_dataset(path) as fh:
         table = np.loadtxt(
-            _record_lines(fh),
+            _record_lines(fh, empty),
             dtype=np.float64,
             delimiter=",",
             quotechar='"',
@@ -581,105 +601,85 @@ def _load_table(path: Path, layout: _Layout, blanks: bool) -> tuple[np.ndarray, 
             converters=converters,
             encoding=None,  # converters take str, under numpy 1.x as well
         )
-    return table, books
+    return table, books, bool(empty)
 
 
-def _read_table(path: Path, layout: _Layout, taxonomy: AttackTaxonomy) -> Dataset | None:
-    """The Dataset that _read_rows would build, read by numpy's C text
-    reader; None on any exception or warning, or when a check fails. A file
-    with a blank numeric cell takes a second pass that reads its numeric
-    cells through _Numeric."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            blanks = False
+def _read_table(path: Path, layout: _Layout, taxonomy: AttackTaxonomy) -> tuple[Dataset, bool]:
+    """The Dataset of the CSV at path, read by numpy's C text reader, and
+    whether the file holds an empty line. Raises on any exception or
+    warning, or when a check fails. numpy parses the numeric cells of a
+    first pass; a file with a blank numeric cell takes a second pass that
+    reads them through _Numeric, and one with a cell of only whitespace a
+    third, through _PaddedNumeric."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for numeric in (None, _Numeric, _PaddedNumeric):
             try:
-                table, books = _load_table(path, layout, blanks)
+                table, books, empty_line = _load_table(path, layout, numeric)
+                break
             except Exception:
-                blanks = True
-                table, books = _load_table(path, layout, blanks)
-            if table.shape[1] != layout.width:
-                return None
-            labels = table[:, layout.label]
-            if not ((labels >= 0) & (labels <= MAX_UNIT_ID)).all():
-                return None
-            first, count = layout.positions[0], len(layout.positions)
-            if layout.positions == list(range(first, first + count)):
-                matrix = table[:, first : first + count]  # a view, not a copy
-            else:
-                matrix = table[:, layout.positions]
-            blank = matrix.view(np.int64) == _BLANK_BITS if blanks else None
-            finite = np.isfinite(matrix)
-            if not (finite.all() if blank is None else (finite | blank).all()):
-                return None
-            return _dataset(layout, books, matrix, blank, labels.astype(np.int64), taxonomy)
-    except Exception:
-        return None
+                if numeric is _PaddedNumeric:
+                    raise
+        if table.shape[1] != layout.width:
+            raise ValueError(f"rows of {table.shape[1]} fields under a header of {layout.width}")
+        labels = table[:, layout.label]
+        if not ((labels >= 0) & (labels <= MAX_UNIT_ID)).all():
+            raise ValueError(f"a label outside 0..{MAX_UNIT_ID}")
+        first, count = layout.positions[0], len(layout.positions)
+        if layout.positions == list(range(first, first + count)):
+            matrix = table[:, first : first + count]  # a view, not a copy
+        else:
+            matrix = table[:, layout.positions]
+        blank = matrix.view(np.int64) == _BLANK_BITS if numeric else None
+        finite = np.isfinite(matrix)
+        if not (finite.all() if blank is None else (finite | blank).all()):
+            raise ValueError("a non-finite numeric cell")
+        dataset = _dataset(layout, books, matrix, blank, labels.astype(np.int64), taxonomy)
+    return dataset, empty_line
 
 
-def _read_rows(path: Path, layout: _Layout, taxonomy: AttackTaxonomy) -> Dataset:
-    """The Dataset of the CSV at path, read cell by cell with csv.reader.
-    This loop defines a valid file: it raises DatasetError naming the line
-    of the first bad row, or else of the first non-finite numeric cell."""
-    names, width = layout.names, layout.width
-    books = layout.books()
-    columns = [(name, col, books.get(name)) for name, col in zip(names, layout.positions)]
-    values = array("d")  # cells in row-major order
-    labels = array("q")
-    lines = array("q")  # line number of each record
-    missing: list[int] = []  # positions in values of blank numeric cells
+def _first_error(path: Path, layout: _Layout, taxonomy: AttackTaxonomy) -> DatasetError | None:
+    """The DatasetError naming the line at fault in the CSV at path, as a
+    walk with csv.reader finds it: the first bad row, or else the first
+    non-finite numeric cell. None when it finds no fault."""
+    width = layout.width
+    numeric = [
+        (name, col) for name, kind, col in zip(layout.names, layout.kinds, layout.positions)
+        if kind == NUMERIC
+    ]
+    where = nonfinite = None
     with _open_dataset(path) as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            line = reader.line_num
-            lines.append(line)
+            where = f"{path}: line {reader.line_num}"
             if len(row) != width:
-                raise DatasetError(f"{path}: line {line}: expected {width} fields, found {len(row)}")
-            for name, col, book in columns:
+                return DatasetError(f"{where}: expected {width} fields, found {len(row)}")
+            for name, col in numeric:
                 text = row[col].strip()
-                if book is not None:
-                    values.append(book.setdefault(text, len(book)))
-                elif not text:
-                    missing.append(len(values))
-                    values.append(np.nan)
-                else:
-                    try:
-                        values.append(float(text))
-                    except ValueError:
-                        raise DatasetError(
-                            f"{path}: line {line}: column {name!r}: "
-                            f"unparseable numeric value {text!r}"
-                        ) from None
-            label_text = row[layout.label].strip()
+                try:
+                    value = float(text) if text else 0.0  # a blank cell
+                except ValueError:
+                    return DatasetError(
+                        f"{where}: column {name!r}: unparseable numeric value {text!r}"
+                    )
+                # float() also reads nan, inf and text past the float range
+                if nonfinite is None and not math.isfinite(value):
+                    nonfinite = DatasetError(
+                        f"{where}: column {name!r}: non-finite numeric value {value}"
+                    )
+            text = row[layout.label].strip()
             try:
-                label = int(label_text)
+                label = int(text)
             except ValueError:
-                raise DatasetError(
-                    f"{path}: line {line}: unparseable attack_type {label_text!r}"
-                ) from None
+                return DatasetError(f"{where}: unparseable attack_type {text!r}")
             if label < 0:
-                raise DatasetError(f"{path}: line {line}: negative attack_type {label}")
+                return DatasetError(f"{where}: negative attack_type {label}")
             if label != BENIGN and label not in taxonomy.types:
-                raise DatasetError(f"{path}: line {line}: unknown attack_type id {label}")
-            labels.append(label)
-
-    if not labels:
-        raise DatasetError(f"{path}: no data rows")
-
-    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(labels), len(names))
-    blank = np.zeros(matrix.shape, dtype=bool)
-    blank.reshape(-1)[missing] = True
-    # float() also reads nan, inf and text past the float range; only a
-    # blank cell may hold NaN here
-    nonfinite = ~np.isfinite(matrix) & ~blank
-    if nonfinite.any():
-        r, c = np.argwhere(nonfinite)[0].tolist()
-        raise DatasetError(
-            f"{path}: line {lines[r]}: column {names[c]!r}: "
-            f"non-finite numeric value {float(matrix[r, c])}"
-        )
-    return _dataset(layout, books, matrix, blank, np.frombuffer(labels, dtype=np.int64), taxonomy)
+                return DatasetError(f"{where}: unknown attack_type id {label}")
+    if where is None:
+        return DatasetError(f"{path}: no data rows")
+    return nonfinite
 
 
 def _dataset(

@@ -217,7 +217,14 @@ def test_parse_four_row_file(tmp_path):
 def test_parse_empty_file(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("f0,attack_type\n")
-    with pytest.raises(DatasetError, match="empty"):
+    with pytest.raises(DatasetError, match="no data rows"):
+        parse_dataset(path)
+
+
+def test_schema_fault_comes_before_a_record_fault(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("f0,f0,attack_type\n1,2,0\n1,0\n")
+    with pytest.raises(DatasetError, match="^schema feature names are not unique$"):
         parse_dataset(path)
 
 
@@ -348,6 +355,8 @@ def test_leading_bom_is_skipped(tmp_path, kind):
 
 NUMERIC_PAIR = ("numeric", "numeric")
 MISSING_FLAGGED = (("f0", "f1", "missing_any"), ("numeric",) * 3, {})
+WELL_FORMED_FEATURES = [("mode", "categorical"), ("f0", "numeric"), ("f1", "numeric")]
+WELL_FORMED_CODES = {"mode": ("auto", "man, ual", 'x"y')}
 
 # Awkward files and what parse_dataset makes of them: a sidecar schema's
 # features (None: infer-numeric), then either the error after "<path>: " or
@@ -401,6 +410,22 @@ PARSE_CORPUS = {
     "nan-then-unparseable": (
         "f0,attack_type\nnan,0\nx,1\n", None, "line 3: column 'f0': unparseable numeric value 'x'"
     ),
+    # categoricals, quoted cells and CRLF, with and without blank cells
+    "well-formed-no-blanks": (
+        'mode,f0,"f1",attack_type\r\nauto,1.5,"2",0\r\n"man, ual",-3e-1,4,1\r\n'
+        ' auto,"5",6,0\r\n"x""y",7,8,3\r\n',
+        WELL_FORMED_FEATURES,
+        ((("mode", "f0", "f1"), ("categorical",) + NUMERIC_PAIR, WELL_FORMED_CODES),
+         [[0, 1.5, 2], [1, -0.3, 4], [0, 5, 6], [2, 7, 8]], [0, 1, 0, 3]),
+    ),
+    "well-formed-blanks": (
+        'mode,f0,"f1",attack_type\r\nauto,1.5,"2",0\r\n"man, ual",,3e-1,1\r\n'
+        ' auto,"-4","",0\r\n"x""y",7,8,3\r\n',
+        WELL_FORMED_FEATURES,
+        ((("mode", "f0", "f1", "missing_any"), ("categorical",) + ("numeric",) * 3,
+          WELL_FORMED_CODES),
+         [[0, 1.5, 2, 0], [1, 1.5, 0.3, 1], [0, -4, 2, 1], [2, 7, 8, 0]], [0, 1, 0, 3]),
+    ),
     "sidecar-reorders-and-omits": (
         "a,b,c,attack_type\n1,2,3,0\n4,5,6,1\n",
         [("c", "numeric"), ("a", "numeric")],
@@ -437,46 +462,36 @@ def test_parse_corpus_pinned(tmp_path, case):
     assert d.attack_types.tobytes() == np.array(labels, dtype=np.int64).tobytes()
 
 
-def read_both_ways(monkeypatch, path, schema) -> list[tuple]:
-    """parse_dataset's result by the per-cell loop alone, then by numpy's
-    reader with the loop made to raise."""
-    results = []
-    for name, stand_in in (("_read_table", lambda *args: None), ("_read_rows", _refuse_loop)):
-        with monkeypatch.context() as patch:
-            patch.setattr(dataset_module, name, stand_in)
-            d = parse_dataset(path, schema)
-        results.append((d.schema, d.features.tobytes(), d.features.shape, d.attack_types.tobytes()))
-    return results
+def spy_walk(monkeypatch) -> list:
+    """The arguments of every _first_error call from here on."""
+    calls = []
+    walk = dataset_module._first_error
+
+    def spy(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(dataset_module, "_first_error", spy)
+    return calls
 
 
-def _refuse_loop(*args):
-    raise AssertionError("the per-cell loop ran")
-
-
-WELL_FORMED = {
-    # categoricals, quoted cells and CRLF, with and without blank cells
-    "no-blanks": 'mode,f0,"f1",attack_type\r\nauto,1.5,"2",0\r\n"man, ual",-3e-1,4,1\r\n'
-    ' auto,"5",6,0\r\n"x""y",7,8,3\r\n',
-    "blanks": 'mode,f0,"f1",attack_type\r\nauto,1.5,"2",0\r\n"man, ual",,3e-1,1\r\n'
-    ' auto,"-4","",0\r\n"x""y",7,8,3\r\n',
-}
-
-
-@pytest.mark.parametrize("case", WELL_FORMED)
-def test_well_formed_csv_skips_the_loop(tmp_path, monkeypatch, case):
-    features = [("mode", "categorical"), ("f0", "numeric"), ("f1", "numeric")]
-    path, schema = write_case(tmp_path, WELL_FORMED[case], features)
-    by_loop, by_table = read_both_ways(monkeypatch, path, schema)
-    assert by_table == by_loop
-    assert by_table[0].categorical_codes == {"mode": ("auto", "man, ual", 'x"y')}
+@pytest.mark.parametrize("case", PARSE_CORPUS)
+def test_valid_csv_skips_the_loop(tmp_path, monkeypatch, case):
+    # numpy's reader alone reads a valid file; the csv loop walks a refused
+    # one once, to name its line
+    text, features, expected = PARSE_CORPUS[case]
+    path, schema = write_case(tmp_path, text, features)
+    calls = spy_walk(monkeypatch)
+    with contextlib.suppress(DatasetError):
+        parse_dataset(path, schema)
+    assert len(calls) == isinstance(expected, str)
 
 
 # Files that numpy's reader refuses, or whose table fails a check, so the
-# loop must decide them: the loop's error, or a Dataset.
+# csv loop names the line at fault.
 LOOP_DECIDES = {
     "unparseable-cell": "f0,attack_type\n1,0\nx,1\n",
     "empty-line": "f0,attack_type\n1,0\n\n2,1\n",
-    "whitespace-numeric-cell": "f0,f1,attack_type\n1, ,0\n2,4,1\n",
     "no-records": "f0,attack_type\n",
     "rows-wider-than-header": "f0,f1,attack_type\n1,2,0,9\n3,4,1,9\n",
     "non-finite-cell": "f0,attack_type\n1,0\ninf,1\n",
@@ -489,17 +504,36 @@ LOOP_DECIDES = {
 @pytest.mark.parametrize("case", LOOP_DECIDES)
 def test_refused_csv_reaches_the_loop(tmp_path, monkeypatch, case):
     path, schema = write_case(tmp_path, LOOP_DECIDES[case], None)
-    calls = []
-    loop = dataset_module._read_rows
-
-    def spy(*args):
-        calls.append(args)
-        return loop(*args)
-
-    monkeypatch.setattr(dataset_module, "_read_rows", spy)
-    with contextlib.suppress(DatasetError):
+    calls = spy_walk(monkeypatch)
+    with pytest.raises(DatasetError, match="line|no data rows"):
         parse_dataset(path, schema)
     assert len(calls) == 1
+
+
+def test_quoted_cell_may_hold_an_empty_line(tmp_path, monkeypatch):
+    # numpy would skip an empty line between records, so the csv loop checks
+    # that this one sits in a quoted cell
+    text = 'mode,f0,attack_type\n"a\n\nb",1,0\r\n"c\n \n",2,1\n'
+    path, schema = write_case(tmp_path, text, [("mode", "categorical"), ("f0", "numeric")])
+    calls = spy_walk(monkeypatch)
+    d = parse_dataset(path, schema)
+    assert len(calls) == 1
+    assert d.schema.categorical_codes == {"mode": ("a\n\nb", "c")}
+    assert d.features.tolist() == [[0, 1], [1, 2]]
+    assert d.attack_types.tolist() == [0, 1]
+
+
+def test_reader_failure_on_a_valid_file_is_chained(tmp_path, monkeypatch):
+    path, schema = write_case(tmp_path, "f0,attack_type\n1,0\n2,1\n", None)
+    failure = RuntimeError("reader broke")
+
+    def broken(*args):
+        raise failure
+
+    monkeypatch.setattr(dataset_module, "_load_table", broken)
+    with pytest.raises(DatasetError, match="reader broke") as err:
+        parse_dataset(path, schema)
+    assert err.value.__cause__ is failure
 
 
 # -- validation -------------------------------------------------------------

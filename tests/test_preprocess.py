@@ -96,13 +96,6 @@ def test_no_test_leakage(rng):
     assert (p1.scale == p2.scale).all()
 
 
-def test_arity_mismatch():
-    x = np.ones((4, 3))
-    p = fit_preprocessor(x, numeric_schema(3))
-    with pytest.raises(ValueError):
-        transform(p, np.ones((2, 2)), 1)
-
-
 def test_one_hot_encoding_with_unknown_slot():
     x = np.array([[0.0, 1.5], [1.0, 2.5], [2.0, 3.5]])
     p = fit_preprocessor(x, schema_of((CATEGORICAL, NUMERIC), (3, 0)))

@@ -4,13 +4,15 @@ A model scores only records of the capture it trained on: the paper's
 cells cross-validate inside one capture, scoring the records each split
 holds out. A cell's input is one window view of that capture, built once
 by base.transform. The forest's view holds raw values: a tree depends only
-on the order of each feature's values, so it reads numeric values and
-categorical codes as the dataset holds them, with thresholds in data units.
+on the order of each feature's values, so it grows on the capture's rank
+table (Dataset.feature_ranks, computed once per process) and reads from the
+view only the numeric values and categorical codes that bound its cuts,
+with thresholds in data units.
 The SVM's and the MLP's view holds an encoding fitted on the split's train
 rows only, standardizing numeric features and one-hot encoding categorical
-ones. Every trainer gathers its train rows from the view, and the model
-keeps the view, from which predict_dataset() gathers its test rows: the
-capture is encoded once per cell. predict_dataset() scores the rows it is
+ones. The SVM and the MLP gather their train rows from the view. Every
+model keeps its view, from which predict_dataset() gathers its test rows:
+the capture is encoded once per cell. predict_dataset() scores the rows it is
 given in padded blocks of BLOCK_ROWS, so no cell builds its whole test
 matrix, and a row's score does not depend on the other rows requested with
 it. Windows are read from the dataset in capture order, so they reach
@@ -87,8 +89,12 @@ def train(spec: ClassifierSpec, split: SplitInstance, d: Dataset) -> TrainedMode
     hp = spec.hyperparameters
     pre = None if spec.kind == KIND_FOREST else fit_preprocessor(X[train_idx], d.schema)
     windows = transform(pre, X, hp["window"])
-    fit = {KIND_FOREST: train_random_forest, KIND_SVM: train_linear_svm, KIND_MLP: train_mlp}
-    params = fit[spec.kind](hp, train_idx, y_train, spec.seed, windows)
+    if spec.kind == KIND_FOREST:
+        ranks = d.feature_ranks()
+        params = train_random_forest(hp, train_idx, y_train, spec.seed, windows, ranks)
+    else:
+        fit = train_linear_svm if spec.kind == KIND_SVM else train_mlp
+        params = fit(hp, train_idx, y_train, spec.seed, windows)
     return TrainedModel(spec, params, (X, windows))
 
 

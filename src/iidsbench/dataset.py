@@ -9,7 +9,9 @@ unit 0 at both, and AttackTaxonomy.units alone maps types to units.
 
 A Dataset holds at least one row, and every label is benign or a type of
 its taxonomy: construction raises otherwise, so no later stage meets an
-empty dataset or a label it cannot score.
+empty dataset or a label it cannot score. The forest reads its features
+through Dataset.feature_ranks, each column's value ranks, computed on first
+use and kept with the Dataset.
 
 The module covers four jobs: parsing/writing the CSV exchange format,
 checking label composition, summarizing it, and generating synthetic
@@ -334,6 +336,42 @@ class Dataset:
         """Each record's unit at `level` (see AttackTaxonomy.units)."""
         return self.taxonomy.units(self.attack_types, level)
 
+    def feature_ranks(self) -> np.ndarray:
+        """rank_columns of the feature matrix, computed on the first call."""
+        ranks = self.__dict__.get("_ranks")
+        if ranks is None:
+            ranks = self.__dict__["_ranks"] = rank_columns(self.features)
+        return ranks
+
+
+def rank_columns(features: np.ndarray) -> np.ndarray:
+    """The dense ranks of each column of the (n, F) matrix `features` among
+    that column's values and 0.0, the window padding value, as an (F, n + 1)
+    feature-major table: [f, i] ranks row i's value, and [f, n] ranks 0.0.
+    Equal values share a rank, 0.0 and -0.0 included, so ranks order and tie
+    exactly as the values do. The table is uint16 when every rank fits, that
+    is when no column holds more than 65,536 distinct values with 0.0
+    counted in, and uint32 otherwise.
+    Raises DatasetError for a non-finite value, which has no place in that
+    order that a threshold could keep.
+    """
+    n, width = features.shape
+    ranks = np.empty((width, n + 1), dtype=np.uint16)
+    column = np.zeros(n + 1)
+    for f in range(width):
+        column[:n] = features[:, f]
+        order = np.argsort(column)
+        ordered = column[order]
+        if not (np.isfinite(ordered[0]) and np.isfinite(ordered[-1])):
+            raise DatasetError(f"feature column {f} holds a non-finite value")
+        dense = np.empty(n + 1, dtype=np.int64)
+        dense[0] = 0
+        np.cumsum(ordered[1:] != ordered[:-1], out=dense[1:])
+        if dense[-1] > np.iinfo(ranks.dtype).max:
+            ranks = ranks.astype(np.uint32)
+        ranks[f, order] = dense
+    return ranks
+
 
 def validate_dataset(d: Dataset) -> list[str]:
     """The composition findings, one line each; empty when the dataset holds
@@ -427,7 +465,9 @@ _GAS_PIPELINE_COLUMNS = (
 
 
 def _schema_request(schema_source: str | Path, header: list[str]) -> tuple[list[str], list[str]]:
-    """Resolve (names, kinds) for the requested schema against a CSV header."""
+    """Resolve (names, kinds) for the requested schema against a CSV header.
+    A fault of a sidecar schema file raises DatasetError without naming the
+    file, which parse_dataset adds."""
     if schema_source == SCHEMA_INFER_NUMERIC:
         names = [h for h in header if h != DEFAULT_LABEL_COLUMN]
         return names, [NUMERIC] * len(names)
@@ -437,15 +477,15 @@ def _schema_request(schema_source: str | Path, header: list[str]) -> tuple[list[
     try:
         spec = json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:
-        raise DatasetError(f"cannot read schema file {path}: {exc}") from exc
+        raise DatasetError(f"cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise DatasetError(f"schema file {path} is not valid JSON: {exc}") from exc
+        raise DatasetError(f"not valid JSON: {exc}") from exc
     try:
         features = spec["features"]
         names = [f["name"] for f in features]
         kinds = [f["kind"] for f in features]
     except (KeyError, TypeError) as exc:
-        raise DatasetError(f"schema file {path} missing feature entries: {exc}") from exc
+        raise DatasetError(f"missing feature entries: {exc}") from exc
     return names, kinds
 
 
@@ -476,7 +516,9 @@ def parse_dataset(
     empty line, which numpy skips, a walk with csv.reader (_first_error)
     finds the line at fault and the DatasetError naming it is raised. A
     refused file whose walk finds no fault raises a DatasetError chained to
-    the reader's exception.
+    the reader's exception. Every DatasetError raised here starts with
+    "<path>: ", and one about a sidecar schema goes on with "schema file
+    <schema path>: ".
     """
     if taxonomy is None:
         taxonomy = builtin_taxonomy()
@@ -487,7 +529,12 @@ def parse_dataset(
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
     header = [h.strip() for h in header]
-    names, kinds = _schema_request(schema_source, header)
+    sidecar = schema_source not in (SCHEMA_INFER_NUMERIC, SCHEMA_GAS_PIPELINE)
+    where = f"{path}: schema file {schema_source}" if sidecar else str(path)
+    try:
+        names, kinds = _schema_request(schema_source, header)
+    except DatasetError as exc:
+        raise DatasetError(f"{where}: {exc}") from exc.__cause__
     if DEFAULT_LABEL_COLUMN not in header:
         raise DatasetError(f"{path}: missing label column {DEFAULT_LABEL_COLUMN!r}")
     positions = []
@@ -495,7 +542,10 @@ def parse_dataset(
         if name not in header:
             raise DatasetError(f"{path}: schema column {name!r} absent from header")
         positions.append(header.index(name))
-    FeatureSchema(tuple(names), tuple(kinds))  # a schema fault comes before any record's
+    try:
+        FeatureSchema(tuple(names), tuple(kinds))  # a schema fault comes before any record's
+    except DatasetError as exc:
+        raise DatasetError(f"{where}: {exc}") from None
     layout = _Layout(len(header), names, kinds, positions, header.index(DEFAULT_LABEL_COLUMN))
     try:
         dataset, empty_line = _read_table(path, layout, taxonomy)
@@ -627,11 +677,14 @@ def _read_table(path: Path, layout: _Layout, taxonomy: AttackTaxonomy) -> tuple[
             raise ValueError(f"a label outside 0..{MAX_UNIT_ID}")
         first, count = layout.positions[0], len(layout.positions)
         if layout.positions == list(range(first, first + count)):
-            matrix = table[:, first : first + count]  # a view, not a copy
+            # a view, not a copy, with the column after the features where
+            # the table has one, for _dataset to overwrite
+            matrix = table[:, first : first + count + 1]
         else:
             matrix = table[:, layout.positions]
-        blank = matrix.view(np.int64) == _BLANK_BITS if numeric else None
-        finite = np.isfinite(matrix)
+        features = matrix[:, :count]
+        blank = features.view(np.int64) == _BLANK_BITS if numeric else None
+        finite = np.isfinite(features)
         if not (finite.all() if blank is None else (finite | blank).all()):
             raise ValueError("a non-finite numeric cell")
         dataset = _dataset(layout, books, matrix, blank, labels.astype(np.int64), taxonomy)
@@ -690,21 +743,31 @@ def _dataset(
     labels: np.ndarray,
     taxonomy: AttackTaxonomy,
 ) -> Dataset:
-    """Build the Dataset of a parsed matrix. Where `blank` marks a blank
-    cell, a feature takes the median of its other cells (0 if it has none),
-    and a missing flag feature is appended when any cell was blank."""
+    """Build the Dataset of a parsed matrix, whose first F columns hold the
+    F features and whose next column, if it has one, may be overwritten.
+    Where `blank` marks a blank cell, a feature takes the median of its
+    other cells (0 if it has none), and a missing flag feature is appended
+    when any cell was blank: written into that next column, or else into a
+    copy of the features one column wider."""
     names, kinds = layout.names, layout.kinds
+    count = len(names)
     if blank is not None and blank.any():
+        if matrix.shape[1] == count:
+            wide = np.empty((len(matrix), count + 1))
+            wide[:, :count] = matrix
+            matrix = wide
         for fpos in np.flatnonzero(blank.any(axis=0)).tolist():
             column, gaps = matrix[:, fpos], blank[:, fpos]
             observed = column[~gaps]
             column[gaps] = float(np.median(observed)) if observed.size else 0.0
-        matrix = np.column_stack((matrix, blank.any(axis=1).astype(np.float64)))
+        matrix[:, count] = blank.any(axis=1)
         flag_name = MISSING_FLAG_NAME
         while flag_name in names:
             flag_name += "_"
         names = names + [flag_name]
         kinds = kinds + [NUMERIC]
+    else:
+        matrix = matrix[:, :count]
 
     schema = FeatureSchema(
         feature_names=tuple(names),

@@ -282,9 +282,9 @@ def test_windowed_forest_trains_on_raw_rows(monkeypatch):
     seen = []
     forest = iidsbench.classifiers.train_random_forest
 
-    def recording(hp, rows, y, seed, windows):
+    def recording(hp, rows, y, seed, windows, ranks):
         seen.append(windows[rows])
-        return forest(hp, rows, y, seed, windows)
+        return forest(hp, rows, y, seed, windows, ranks)
 
     monkeypatch.setattr(iidsbench.classifiers, "train_random_forest", recording)
     train(ClassifierSpec("random_forest", {"n_trees": 1, "window": 3}), split, d)

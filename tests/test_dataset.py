@@ -224,8 +224,34 @@ def test_parse_empty_file(tmp_path):
 def test_schema_fault_comes_before_a_record_fault(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("f0,f0,attack_type\n1,2,0\n1,0\n")
-    with pytest.raises(DatasetError, match="^schema feature names are not unique$"):
+    with pytest.raises(DatasetError) as err:
         parse_dataset(path)
+    assert str(err.value) == f"{path}: schema feature names are not unique"
+
+
+@pytest.mark.parametrize(
+    "schema_text, fault",
+    [
+        ('{"features": [{"name": "f0", "kind": "numerc"}]}', "unknown feature kind 'numerc'"),
+        (
+            '{"features": [{"name": "f0", "kind": "numeric"}, {"name": "f0", "kind": "numeric"}]}',
+            "schema feature names are not unique",
+        ),
+        ('{"features": []}', "schema has no features"),
+        ('{"features": [{"name": "f0"}]}', "missing feature entries: 'kind'"),
+        ('{"features": [', "not valid JSON: "),
+        (None, "cannot be read: "),
+    ],
+)
+def test_sidecar_schema_fault_names_both_files(tmp_path, schema_text, fault):
+    path = tmp_path / "d.csv"
+    path.write_text("f0,attack_type\n1,0\n")
+    schema = tmp_path / "schema.json"
+    if schema_text is not None:
+        schema.write_text(schema_text)
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(path, schema)
+    assert str(err.value).startswith(f"{path}: schema file {schema}: {fault}")
 
 
 def test_parse_wrong_arity_names_line(tmp_path):
@@ -430,6 +456,23 @@ PARSE_CORPUS = {
         "a,b,c,attack_type\n1,2,3,0\n4,5,6,1\n",
         [("c", "numeric"), ("a", "numeric")],
         ((("c", "a"), NUMERIC_PAIR, {}), [[3, 1], [6, 4]], [0, 1]),
+    ),
+    # no column after the features, so the missing flag needs a wider copy
+    "blanks-label-first": (
+        "attack_type,f0,f1\n0,1,\n1,,4\n0,3,6\n",
+        None,
+        (MISSING_FLAGGED, [[1, 5, 1], [2, 4, 1], [3, 6, 0]], [0, 1, 0]),
+    ),
+    "sidecar-reorders-with-blanks": (
+        "a,b,c,attack_type\n1,,3,0\n4,5,,1\n",
+        [("c", "numeric"), ("a", "numeric")],
+        ((("c", "a", "missing_any"), ("numeric",) * 3, {}), [[3, 1, 0], [3, 4, 1]], [0, 1]),
+    ),
+    # the flag goes over an unused column, not over the label
+    "sidecar-blanks-before-unused-column": (
+        "a,b,c,attack_type\n1,,3,0\n,5,6,1\n",
+        [("a", "numeric"), ("b", "numeric")],
+        ((("a", "b", "missing_any"), ("numeric",) * 3, {}), [[1, 5, 1], [1, 5, 1]], [0, 1]),
     ),
 }
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iidsbench import dataset as dataset_module
 from iidsbench import runner
 from iidsbench.classifiers import ClassifierSpec
 from iidsbench.cli import main
@@ -310,6 +311,34 @@ def test_run_worker_count_invariant(tmp_path):
     assert stripped(tmp_path / "a") == stripped(tmp_path / "b")
 
 
+WINDOWED_FORESTS = (
+    FOREST,
+    ClassifierSpec("random_forest", {"n_trees": 4, "window": 3}, name="forest3"),
+)
+
+
+def test_windowed_forest_worker_count_invariant(tmp_path):
+    # each worker ranks the capture it unpickles; the trees must not notice
+    cfg = small_config(tmp_path / "a", classifiers=WINDOWED_FORESTS[1:])
+    run(cfg)
+    run(replace(cfg, output_dir=str(tmp_path / "b"), workers=2))
+    assert stripped(tmp_path / "a") == stripped(tmp_path / "b")
+
+
+def test_forest_run_ranks_the_capture_once(tmp_path, monkeypatch):
+    calls = []
+    rank = dataset_module.rank_columns
+
+    def counting(features):
+        calls.append(features.shape)
+        return rank(features)
+
+    monkeypatch.setattr(dataset_module, "rank_columns", counting)
+    cfg = small_config(tmp_path / "out", classifiers=WINDOWED_FORESTS, modes=("baseline", "omit"))
+    assert run(cfg).timing["computed_cells"] == 12
+    assert calls == [(150, 3)]
+
+
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -450,31 +479,40 @@ def test_second_interrupt_stops_pool_workers(tmp_path):
     src = str(Path(runner.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     command = [sys.executable, "-m", "iidsbench.cli", "run", "--config", str(config)]
-    proc = subprocess.Popen(
-        command,
-        env={**os.environ, "PYTHONPATH": path},
-        start_new_session=True,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    stderr = tmp_path / "stderr.txt"
+    with stderr.open("w") as sink:
+        proc = subprocess.Popen(
+            command,
+            env={**os.environ, "PYTHONPATH": path},
+            start_new_session=True,
+            stdout=subprocess.DEVNULL,
+            stderr=sink,
+        )
+
+    def said() -> str:
+        return f"stderr of the run:\n{stderr.read_text()}"
+
     try:
         cells = Path(cfg.output_dir) / "cells"
         deadline = time.monotonic() + 60
         while not any(cells.rglob("*.json")) and proc.poll() is None:
-            assert time.monotonic() < deadline, "no cell written within 60 s"
+            assert time.monotonic() < deadline, f"no cell written within 60 s\n{said()}"
             time.sleep(0.01)
         proc.send_signal(signal.SIGINT)
         time.sleep(0.05)
         proc.send_signal(signal.SIGINT)
-        proc.wait(timeout=30)
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired as exc:
+            pytest.fail(f"{exc}\n{said()}")
     finally:
         try:
             os.killpg(proc.pid, signal.SIGKILL)  # the workers share the run's group
         except ProcessLookupError:
             pass
         proc.wait()
-    assert proc.returncode == -signal.SIGINT
-    assert (Path(cfg.output_dir) / "INCOMPLETE").exists()
+    assert proc.returncode == -signal.SIGINT, said()
+    assert (Path(cfg.output_dir) / "INCOMPLETE").exists(), said()
     resume(cfg.output_dir)
     run(replace(cfg, output_dir=str(tmp_path / "serial"), workers=1))
     assert without_timing(Path(cfg.output_dir)) == without_timing(tmp_path / "serial")

@@ -1,4 +1,5 @@
-"""Shared train/predict surface: dispatch, determinism, tie rule, row selection."""
+"""Shared train/predict surface: dispatch, determinism, tie rule, the
+sigmoid, row selection."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from iidsbench.classifiers import (
     predict_dataset,
     train,
 )
+from iidsbench.classifiers.base import sigmoid
 from iidsbench.dataset import Dataset, generate_synthetic
 from iidsbench.errors import ConfigError, TrainError
 from iidsbench.runner import ExperimentConfig, run
@@ -147,6 +149,28 @@ def test_degenerate_labels():
 def test_tie_scores_label_malicious():
     scores = np.array([0.0, 0.49999, 0.5, 0.50001, 1.0])
     assert labels_from_scores(scores).tolist() == [False, False, True, True, True]
+
+
+def reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The two-branch formula: 1 / (1 + exp(-z)) where z >= 0, and
+    exp(z) / (1 + exp(z)) elsewhere, so that exp never overflows."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_two_branch_reference():
+    special = [0.0, 1e-300, 37.0, 709.0, 745.0, np.inf]
+    z = np.array(special + [-v for v in special])
+    normals = np.random.default_rng(29).standard_normal(10_000)
+    for values in (z, normals, 30.0 * normals, (30.0 * normals).reshape(-1, 1)):
+        out = sigmoid(values)
+        assert out.shape == values.shape
+        assert out.tobytes() == reference_sigmoid(values).tobytes()
+    assert sigmoid(z[[0, 6, 5, 11]]).tolist() == [0.5, 0.5, 1.0, 0.0]  # +-0.0, +-inf
 
 
 @pytest.mark.parametrize("kind", KINDS)

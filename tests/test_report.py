@@ -12,6 +12,7 @@ from iidsbench.metrics import AggregatedRow
 from iidsbench.report import (
     MetricsMatrix,
     build_matrix,
+    compare_to_csv,
     matrix_to_csv,
     precision_report,
     precision_report_csv,
@@ -207,3 +208,79 @@ def test_precision_report_requires_baseline():
     artifact = FakeArtifact([prec_row(ScenarioSpec("omit", "attack", 1), 0.9)])
     with pytest.raises(ReportError, match="baseline"):
         precision_report(artifact)
+
+
+# -- exact CSV text ----------------------------------------------------------
+
+# 0.1 + 0.2 and 1 + 2**-52 need all 17 significant digits of repr
+SEVENTEEN = 0.1 + 0.2
+ONE_ULP_UP = 1.0000000000000002
+
+
+def test_matrix_csv_exact_text():
+    m = MetricsMatrix(
+        classifier="forest",
+        mode="omit",
+        level="attack",
+        row_units=(None, 1),
+        row_labels=("none", 'a,"b'),
+        col_groups=(0, 1),
+        col_labels=("benign", 'x "y", z'),
+        cells=((1.0, SEVENTEEN), (None, 1 / 3)),
+        defined_folds=((2, 2), (0, 2)),
+    )
+    assert matrix_to_csv(m) == (
+        ',benign,"x ""y"", z"\n'
+        "none,1.0,0.30000000000000004\n"
+        '"a,""b",n/a,0.3333333333333333\n'
+    )
+
+
+def test_precision_csv_exact_text():
+    table = [
+        {
+            "classifier": 'c,"1"',
+            "scenario": "omit-attack-1",
+            "level": "attack",
+            "precision": SEVENTEEN,
+            "baseline_precision": None,
+            "delta": None,
+        },
+        {
+            "classifier": "c",
+            "scenario": "baseline-attack",
+            "level": "attack",
+            "precision": ONE_ULP_UP,
+            "baseline_precision": ONE_ULP_UP,
+            "delta": -2.220446049250313e-16,
+        },
+    ]
+    assert precision_report_csv(table) == (
+        "classifier,scenario,level,precision,baseline_precision,delta\n"
+        '"c,""1""",omit-attack-1,attack,0.30000000000000004,n/a,n/a\n'
+        "c,baseline-attack,attack,1.0000000000000002,1.0000000000000002,-2.220446049250313e-16\n"
+    )
+
+
+def test_compare_csv_exact_text():
+    def entry(unit, label, omit, trainers):
+        return {
+            "classifier": "c",
+            "level": "attack",
+            "unit": unit,
+            "unit_label": label,
+            "omit_recall": omit,
+            "only_recall_by_trainer": trainers,
+        }
+
+    table = [
+        entry(1, 'a,"b', None, {"2.1": SEVENTEEN, 'q"r': None}),
+        entry(2, "2.1", 2 / 3, {}),  # no trainer, no line
+        entry(3, "3.1", ONE_ULP_UP, {"1.1": 0.0}),
+    ]
+    assert compare_to_csv(table) == (
+        "classifier,level,unit,unit_label,omit_recall,trainer,only_recall\n"
+        'c,attack,1,"a,""b",n/a,2.1,0.30000000000000004\n'
+        'c,attack,1,"a,""b",n/a,"q""r",n/a\n'
+        "c,attack,3,3.1,1.0000000000000002,1.1,0.0\n"
+    )

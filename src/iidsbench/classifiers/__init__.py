@@ -133,8 +133,7 @@ def predict_dataset(model: TrainedModel, d: Dataset, indices) -> tuple[np.ndarra
     idx = np.asarray(indices, dtype=np.int64)
     scores = np.empty(len(idx), dtype=np.float64)
     for lo in range(0, len(idx), BLOCK_ROWS):
-        block = idx[lo : lo + BLOCK_ROWS]
-        n = len(block)
-        block = np.pad(block, (0, BLOCK_ROWS - n), mode="edge")
+        n = min(BLOCK_ROWS, len(idx) - lo)
+        block = idx[np.minimum(np.arange(lo, lo + BLOCK_ROWS), len(idx) - 1)]
         scores[lo : lo + n] = _block_scores(model, windows[block])[:n]
     return labels_from_scores(scores), scores

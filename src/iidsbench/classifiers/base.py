@@ -174,12 +174,9 @@ def labels_from_scores(scores: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows: 1 / (1 + e) where z >= 0, e / (1 + e) elsewhere
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sqrt_feature_count(n_features: int) -> int:

@@ -56,15 +56,14 @@ def mlp_loss_and_grads(params: MlpParams, X, y):
     z_out = pre[-1]
     loss = float(np.mean(np.logaddexp(0.0, z_out) - y * z_out))
 
-    grads_w = [np.empty_like(W) for W in params.weights]
-    grads_b = [np.empty_like(b) for b in params.biases]
+    grads_w, grads_b = [], []  # last layer first
     delta = (sigmoid(z_out) - y) / n
     for l in range(len(params.weights) - 1, -1, -1):
-        grads_w[l] = activations[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
+        grads_w.append(activations[l].T @ delta)
+        grads_b.append(delta.sum(axis=0))
         if l > 0:
             delta = (delta @ params.weights[l].T) * (pre[l - 1] > 0.0)
-    return loss, grads_w, grads_b
+    return loss, grads_w[::-1], grads_b[::-1]
 
 
 def train_mlp(hyperparameters: dict, rows, y, seed: int, windows) -> MlpParams:

@@ -676,12 +676,12 @@ def _read_table(path: Path, layout: _Layout, taxonomy: AttackTaxonomy) -> tuple[
         if not ((labels >= 0) & (labels <= MAX_UNIT_ID)).all():
             raise ValueError(f"a label outside 0..{MAX_UNIT_ID}")
         first, count = layout.positions[0], len(layout.positions)
-        if layout.positions == list(range(first, first + count)):
-            # a view, not a copy, with the column after the features where
-            # the table has one, for _dataset to overwrite
+        # the features and a column after them, for _dataset to overwrite:
+        # a view where the table has one, or else one copy with the label's
+        if first + count < layout.width and layout.positions == list(range(first, first + count)):
             matrix = table[:, first : first + count + 1]
         else:
-            matrix = table[:, layout.positions]
+            matrix = table[:, layout.positions + [layout.label]]
         features = matrix[:, :count]
         blank = features.view(np.int64) == _BLANK_BITS if numeric else None
         finite = np.isfinite(features)
@@ -744,18 +744,13 @@ def _dataset(
     taxonomy: AttackTaxonomy,
 ) -> Dataset:
     """Build the Dataset of a parsed matrix, whose first F columns hold the
-    F features and whose next column, if it has one, may be overwritten.
-    Where `blank` marks a blank cell, a feature takes the median of its
-    other cells (0 if it has none), and a missing flag feature is appended
-    when any cell was blank: written into that next column, or else into a
-    copy of the features one column wider."""
+    F features and whose next column may be overwritten. Where `blank`
+    marks a blank cell, a feature takes the median of its other cells (0 if
+    it has none), and a missing flag feature, written into that next column,
+    is appended when any cell was blank."""
     names, kinds = layout.names, layout.kinds
     count = len(names)
     if blank is not None and blank.any():
-        if matrix.shape[1] == count:
-            wide = np.empty((len(matrix), count + 1))
-            wide[:, :count] = matrix
-            matrix = wide
         for fpos in np.flatnonzero(blank.any(axis=0)).tolist():
             column, gaps = matrix[:, fpos], blank[:, fpos]
             observed = column[~gaps]
@@ -766,15 +761,14 @@ def _dataset(
             flag_name += "_"
         names = names + [flag_name]
         kinds = kinds + [NUMERIC]
-    else:
-        matrix = matrix[:, :count]
+        count += 1
 
     schema = FeatureSchema(
         feature_names=tuple(names),
         feature_kinds=tuple(kinds),
         categorical_codes={n: tuple(book) for n, book in books.items()},
     )
-    return Dataset(schema, matrix, labels, taxonomy)
+    return Dataset(schema, matrix[:, :count], labels, taxonomy)
 
 
 def _format_numeric(value: float) -> str:

@@ -201,16 +201,21 @@ def render_svg_heatmap(m: MetricsMatrix) -> str:
     return "\n".join(parts) + "\n"
 
 
-def matrix_to_csv(m: MetricsMatrix) -> str:
-    """Full-precision CSV: first row column labels, first column row labels,
-    undefined cells as "n/a". Values round-trip exactly through repr.
-    """
+def _csv_table(header: list[str], rows) -> str:
+    """The CSV text of a header and rows, LF line endings. An undefined cell
+    (None) reads "n/a"; csv writes a float as its repr, which round-trips."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["", *m.col_labels])
-    for label, row in zip(m.row_labels, m.cells):
-        writer.writerow([label, *(UNDEFINED_TEXT if v is None else repr(v) for v in row)])
+    writer.writerow(header)
+    writer.writerows([UNDEFINED_TEXT if v is None else v for v in row] for row in rows)
     return buffer.getvalue()
+
+
+def matrix_to_csv(m: MetricsMatrix) -> str:
+    """Full-precision CSV: first row column labels, first column row labels,
+    undefined cells as "n/a"."""
+    rows = ([label, *row] for label, row in zip(m.row_labels, m.cells))
+    return _csv_table(["", *m.col_labels], rows)
 
 
 def precision_report(artifact) -> list[dict]:
@@ -245,42 +250,17 @@ def precision_report(artifact) -> list[dict]:
 
 
 def precision_report_csv(table: list[dict]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["classifier", "scenario", "level", "precision", "baseline_precision", "delta"])
-    for row in table:
-        writer.writerow(
-            [
-                row["classifier"],
-                row["scenario"],
-                row["level"],
-                *(
-                    UNDEFINED_TEXT if row[key] is None else repr(row[key])
-                    for key in ("precision", "baseline_precision", "delta")
-                ),
-            ]
-        )
-    return buffer.getvalue()
+    header = ["classifier", "scenario", "level", "precision", "baseline_precision", "delta"]
+    return _csv_table(header, ([row[key] for key in header] for row in table))
 
 
 def compare_to_csv(table: list[dict]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["classifier", "level", "unit", "unit_label", "omit_recall", "trainer", "only_recall"]
+    header = ["classifier", "level", "unit", "unit_label", "omit_recall", "trainer", "only_recall"]
+    return _csv_table(
+        header,
+        (
+            [*(row[key] for key in header[:5]), trainer, value]
+            for row in table
+            for trainer, value in row["only_recall_by_trainer"].items()
+        ),
     )
-    for row in table:
-        omit = UNDEFINED_TEXT if row["omit_recall"] is None else repr(row["omit_recall"])
-        for trainer, value in row["only_recall_by_trainer"].items():
-            writer.writerow(
-                [
-                    row["classifier"],
-                    row["level"],
-                    row["unit"],
-                    row["unit_label"],
-                    omit,
-                    trainer,
-                    UNDEFINED_TEXT if value is None else repr(value),
-                ]
-            )
-    return buffer.getvalue()

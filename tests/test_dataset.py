@@ -457,7 +457,8 @@ PARSE_CORPUS = {
         [("c", "numeric"), ("a", "numeric")],
         ((("c", "a"), NUMERIC_PAIR, {}), [[3, 1], [6, 4]], [0, 1]),
     ),
-    # no column after the features, so the missing flag needs a wider copy
+    # no column after the features, so they are copied with the label's,
+    # which takes the missing flag
     "blanks-label-first": (
         "attack_type,f0,f1\n0,1,\n1,,4\n0,3,6\n",
         None,

@@ -660,7 +660,10 @@ def _read_table(path: Path, layout: _Layout, taxonomy: AttackTaxonomy) -> tuple[
     warning, or when a check fails. numpy parses the numeric cells of a
     first pass; a file with a blank numeric cell takes a second pass that
     reads them through _Numeric, and one with a cell of only whitespace a
-    third, through _PaddedNumeric."""
+    third, through _PaddedNumeric. _dataset gets the features with a free
+    column after them, for the missing flag: the table's next column, as a
+    view, where the features are consecutive and a column follows them, and
+    otherwise one copy of the feature columns and the label column."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for numeric in (None, _Numeric, _PaddedNumeric):
@@ -676,8 +679,6 @@ def _read_table(path: Path, layout: _Layout, taxonomy: AttackTaxonomy) -> tuple[
         if not ((labels >= 0) & (labels <= MAX_UNIT_ID)).all():
             raise ValueError(f"a label outside 0..{MAX_UNIT_ID}")
         first, count = layout.positions[0], len(layout.positions)
-        # the features and a column after them, for _dataset to overwrite:
-        # a view where the table has one, or else one copy with the label's
         if first + count < layout.width and layout.positions == list(range(first, first + count)):
             matrix = table[:, first : first + count + 1]
         else:

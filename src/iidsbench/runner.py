@@ -15,9 +15,10 @@ existing output directory recomputes only the missing cells. The cells are
 planned and run.json assembled from the config and the taxonomy alone, so
 the dataset is loaded and its folds partitioned only when a cell is missing:
 a complete directory is rebuilt from config.json, the taxonomy and its cell
-files. inputs.json records the sha256 of every input file when the directory
-is first written; the taxonomy and schema are checked against it on every
-run, the dataset just before it is parsed.
+files. inputs.json records the absolute path and the sha256 of every input
+file when the directory is first written; later runs read each input from
+that path, and check the taxonomy and schema against the hash on every run,
+the dataset just before it is parsed.
 """
 
 from __future__ import annotations
@@ -421,11 +422,15 @@ def _read_existing_cell(
 
 
 def _input_check(output_dir: Path, cfg: ExperimentConfig, new_dir: bool):
-    """Return check(role), which raises RunError naming cfg's input file of
-    that role unless its sha256 equals the one INPUTS_FILE records. A new
-    directory has the hashes recorded now, so an input that cannot be read
-    fails before config.json is written; an existing directory without
-    INPUTS_FILE raises RunError naming it. Each file is hashed at most once.
+    """Return (check, inputs): check(role) raises RunError naming the input
+    file of that role unless its sha256 equals the one INPUTS_FILE records,
+    and inputs is cfg with each input file at the path it is read from. A
+    new directory has each file's absolute path and hash recorded now, so an
+    input that cannot be read fails before config.json is written. An
+    existing directory reads its inputs from the recorded paths, from any
+    working directory, or from cfg's where INPUTS_FILE holds none; one
+    without INPUTS_FILE raises RunError naming it. Each file is hashed at
+    most once.
     """
     files = _input_files(cfg)
     hashes: dict[str, str] = {}
@@ -438,18 +443,27 @@ def _input_check(output_dir: Path, cfg: ExperimentConfig, new_dir: bool):
                 raise RunError(f"cannot read {role} file {files[role]}: {exc.strerror}") from exc
         return hashes[role]
 
-    def decode(data: dict) -> dict:
-        recorded = _decode(data, lambda sha256: sha256)
-        if not isinstance(recorded, dict) or sorted(recorded) != sorted(files):
-            raise ValueError(f"sha256 holds {recorded!r}, expected the roles {sorted(files)}")
-        return recorded
+    def decode(data: dict) -> tuple[dict, dict]:
+        recorded, paths = _decode(data, lambda sha256, path=files: (sha256, path))
+        for key, value in (("sha256", recorded), ("path", paths)):
+            if not isinstance(value, dict) or sorted(value) != sorted(files):
+                raise ValueError(f"{key} holds {value!r}, expected the roles {sorted(files)}")
+            for text in value.values():
+                check_text(text, key)
+        return recorded, paths
 
     path = output_dir / INPUTS_FILE
     if new_dir:
         recorded = {role: current(role) for role in files}
-        atomic_write_text(path, dump_json({"format_version": FORMAT_VERSION, "sha256": recorded}))
+        paths = {role: os.path.abspath(name) for role, name in files.items()}
+        atomic_write_text(
+            path, dump_json({"format_version": FORMAT_VERSION, "path": paths, "sha256": recorded})
+        )
     else:
-        recorded = _read_stored(path, decode)
+        recorded, paths = _read_stored(path, decode)
+    files.update(paths)
+    keys = {"dataset": "dataset_path", "taxonomy": "taxonomy_source", "schema": "schema_source"}
+    inputs = replace(cfg, **{keys[role]: name for role, name in files.items()})
 
     def check(role: str) -> None:
         if role in files and current(role) != recorded[role]:
@@ -459,7 +473,7 @@ def _input_check(output_dir: Path, cfg: ExperimentConfig, new_dir: bool):
                 "restore it or use a fresh directory"
             )
 
-    return check
+    return check, inputs
 
 
 def _compute_cells(
@@ -517,7 +531,7 @@ def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
                 f"output directory {output_dir} holds a different experiment; "
                 "use a fresh directory or restore the original config"
             )
-    check_input = _input_check(output_dir, cfg, new_dir)
+    check_input, inputs = _input_check(output_dir, cfg, new_dir)
     # The taxonomy's labels shape the plan and run.json, so it is checked
     # on every run; the dataset only if a cell needs it.
     check_input("taxonomy")
@@ -525,7 +539,7 @@ def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
     total_start = time.perf_counter()
     # loaded before config.json is written, so that a taxonomy which fails
     # to load leaves a directory that the fixed taxonomy can still start
-    taxonomy = experiment_taxonomy(cfg)
+    taxonomy = experiment_taxonomy(inputs)
     atomic_write_text(config_path, dump_json(config_to_dict(cfg)))
     atomic_write_text(output_dir / MARKER_FILE, "run in progress or aborted\n")
 
@@ -555,7 +569,7 @@ def _execute(cfg: ExperimentConfig, output_dir: Path) -> RunArtifact:
 
     if pending:
         check_input("dataset")
-        _compute_cells(cfg, load_experiment_dataset(cfg, taxonomy), pending, finish)
+        _compute_cells(cfg, load_experiment_dataset(inputs, taxonomy), pending, finish)
 
     ordered = sorted((row for row, _ in done.values()), key=_sort_key)
     aggregates, matrices = _assemble(cfg, taxonomy, ordered)

@@ -574,7 +574,48 @@ def test_inputs_recorded_beside_config(csv_run):
         "taxonomy": file_sha256(tax),
         "schema": file_sha256(schema),
     }
+    assert recorded["path"] == {"dataset": str(data), "taxonomy": str(tax), "schema": str(schema)}
     assert "sha256" not in read_json(out / "config.json")
+
+
+def test_resume_from_another_working_directory(tmp_path, monkeypatch, capsys):
+    # relative input paths, as in the README Quickstart, resolve against
+    # the first run's working directory, whose absolute paths inputs.json
+    # records; a directory without them reads cfg's from the current one
+    dataset = generate_synthetic(SYN_TWO)
+    write_dataset(dataset, tmp_path / "d.csv")
+    (tmp_path / "tax.csv").write_text(taxonomy_to_csv(dataset.taxonomy))
+    features = [{"name": name, "kind": "numeric"} for name in dataset.schema.feature_names]
+    (tmp_path / "schema.json").write_text(json.dumps({"features": features}))
+    cfg = small_config(
+        "out",
+        synthetic=None,
+        dataset_path="d.csv",
+        taxonomy_source="tax.csv",
+        schema_source="schema.json",
+    )
+    monkeypatch.chdir(tmp_path)
+    run(cfg)
+    out = tmp_path / "out"
+    before = stripped(out)
+    assert read_json(out / "config.json")["dataset"]["path"] == "d.csv"
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    cell = out / "cells" / "forest" / "omit-attack-1" / "0.json"
+    cell.unlink()
+    assert main(["resume", str(out)]) == 0
+    assert cell.exists() and stripped(out) == before
+    recorded = read_json(out / runner.INPUTS_FILE)
+    del recorded["path"]
+    (out / runner.INPUTS_FILE).write_text(dump_json(recorded))
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 3
+    assert "cannot read taxonomy file tax.csv" in capsys.readouterr().err
+    monkeypatch.chdir(tmp_path)
+    cell.unlink()
+    assert main(["resume", str(out)]) == 0
+    assert cell.exists() and stripped(out) == before
 
 
 def test_complete_resume_needs_no_csv(csv_run, tmp_path):

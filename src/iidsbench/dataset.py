@@ -7,11 +7,11 @@ load-bearing: windowed classifiers consume rows relative to it. Attack type
 type at attack level and that type's category at category level, benign is
 unit 0 at both, and AttackTaxonomy.units alone maps types to units.
 
-A Dataset holds at least one row, and every label is benign or a type of
-its taxonomy: construction raises otherwise, so no later stage meets an
-empty dataset or a label it cannot score. The forest reads its features
-through Dataset.feature_ranks, each column's value ranks, computed on first
-use and kept with the Dataset.
+A Dataset holds at least one row, finite features only, and labels that
+are benign or types of its taxonomy: construction raises otherwise, so no
+later stage meets an empty dataset, a value it cannot order or a label it
+cannot score. The forest reads its features through Dataset.feature_ranks,
+each column's value ranks, computed on first use and kept with the Dataset.
 
 The module covers four jobs: parsing/writing the CSV exchange format,
 checking label composition, summarizing it, and generating synthetic
@@ -295,8 +295,9 @@ def taxonomy_to_csv(tax: AttackTaxonomy) -> str:
 class Dataset:
     """Records in capture order: row i of `features` (n x F, float64) is
     labeled by `attack_types[i]` (int64). Construction requires at least one
-    row and every label benign or a type of `taxonomy`; it raises
-    DatasetError or TaxonomyError otherwise. Unpickling does not check again.
+    row, every feature value finite and every label benign or a type of
+    `taxonomy`; it raises DatasetError or TaxonomyError otherwise. Unpickling
+    does not check again.
     """
 
     schema: FeatureSchema
@@ -318,6 +319,9 @@ class Dataset:
             )
         if not len(self.attack_types):
             raise DatasetError("dataset has no rows")
+        finite = np.isfinite(self.features).all(axis=0)
+        if not finite.all():
+            raise DatasetError(f"feature column {np.argmin(finite)} holds a non-finite value")
         self.taxonomy.units(self.attack_types, LEVEL_ATTACK)
 
     def __len__(self) -> int:
@@ -351,9 +355,8 @@ def rank_columns(features: np.ndarray) -> np.ndarray:
     Equal values share a rank, 0.0 and -0.0 included, so ranks order and tie
     exactly as the values do. The table is uint16 when every rank fits, that
     is when no column holds more than 65,536 distinct values with 0.0
-    counted in, and uint32 otherwise.
-    Raises DatasetError for a non-finite value, which has no place in that
-    order that a threshold could keep.
+    counted in, and uint32 otherwise. The values must be finite, as a
+    Dataset's are: NaN has no place in that order.
     """
     n, width = features.shape
     ranks = np.empty((width, n + 1), dtype=np.uint16)
@@ -362,8 +365,6 @@ def rank_columns(features: np.ndarray) -> np.ndarray:
         column[:n] = features[:, f]
         order = np.argsort(column)
         ordered = column[order]
-        if not (np.isfinite(ordered[0]) and np.isfinite(ordered[-1])):
-            raise DatasetError(f"feature column {f} holds a non-finite value")
         dense = np.empty(n + 1, dtype=np.int64)
         dense[0] = 0
         np.cumsum(ordered[1:] != ordered[:-1], out=dense[1:])
@@ -657,13 +658,14 @@ def _load_table(
 def _read_table(path: Path, layout: _Layout, taxonomy: AttackTaxonomy) -> tuple[Dataset, bool]:
     """The Dataset of the CSV at path, read by numpy's C text reader, and
     whether the file holds an empty line. Raises on any exception or
-    warning, or when a check fails. numpy parses the numeric cells of a
-    first pass; a file with a blank numeric cell takes a second pass that
-    reads them through _Numeric, and one with a cell of only whitespace a
-    third, through _PaddedNumeric. _dataset gets the features with a free
-    column after them, for the missing flag: the table's next column, as a
-    view, where the features are consecutive and a column follows them, and
-    otherwise one copy of the feature columns and the label column."""
+    warning, or when a check fails, the Dataset's finiteness check among
+    them. numpy parses the numeric cells of a first pass; a file with a
+    blank numeric cell takes a second pass that reads them through
+    _Numeric, and one with a cell of only whitespace a third, through
+    _PaddedNumeric. _dataset gets the features with a free column after
+    them, for the missing flag: the table's next column, as a view, where
+    the features are consecutive and a column follows them, and otherwise
+    one copy of the feature columns and the label column."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for numeric in (None, _Numeric, _PaddedNumeric):
@@ -683,11 +685,7 @@ def _read_table(path: Path, layout: _Layout, taxonomy: AttackTaxonomy) -> tuple[
             matrix = table[:, first : first + count + 1]
         else:
             matrix = table[:, layout.positions + [layout.label]]
-        features = matrix[:, :count]
-        blank = features.view(np.int64) == _BLANK_BITS if numeric else None
-        finite = np.isfinite(features)
-        if not (finite.all() if blank is None else (finite | blank).all()):
-            raise ValueError("a non-finite numeric cell")
+        blank = matrix[:, :count].view(np.int64) == _BLANK_BITS
         dataset = _dataset(layout, books, matrix, blank, labels.astype(np.int64), taxonomy)
     return dataset, empty_line
 
@@ -740,7 +738,7 @@ def _dataset(
     layout: _Layout,
     books: dict,
     matrix: np.ndarray,
-    blank: np.ndarray | None,
+    blank: np.ndarray,
     labels: np.ndarray,
     taxonomy: AttackTaxonomy,
 ) -> Dataset:
@@ -748,10 +746,11 @@ def _dataset(
     F features and whose next column may be overwritten. Where `blank`
     marks a blank cell, a feature takes the median of its other cells (0 if
     it has none), and a missing flag feature, written into that next column,
-    is appended when any cell was blank."""
+    is appended when any cell was blank. A non-finite cell fails the
+    Dataset's construction."""
     names, kinds = layout.names, layout.kinds
     count = len(names)
-    if blank is not None and blank.any():
+    if blank.any():
         for fpos in np.flatnonzero(blank.any(axis=0)).tolist():
             column, gaps = matrix[:, fpos], blank[:, fpos]
             observed = column[~gaps]

@@ -220,20 +220,17 @@ def matrix_to_csv(m: MetricsMatrix) -> str:
 
 def precision_report(artifact) -> list[dict]:
     """Rows of (classifier, scenario, mean precision, baseline precision,
-    delta), one per aggregated scenario. Needs the artifact's baseline rows.
+    delta), one per aggregated scenario. Without a baseline scenario of the
+    classifier at the level, the baseline precision and delta are undefined.
     """
-    baselines: dict[tuple[str, str], float | None] = {}
-    for row in artifact.aggregates:
-        if row.scenario.mode == MODE_BASELINE:
-            baselines[(row.classifier, row.scenario.level)] = row.precision
-    if not baselines:
-        raise ReportError("artifact has no baseline scenario")
+    baselines = {
+        (row.classifier, row.scenario.level): row.precision
+        for row in artifact.aggregates
+        if row.scenario.mode == MODE_BASELINE
+    }
     table = []
     for row in artifact.aggregates:
-        key = (row.classifier, row.scenario.level)
-        if key not in baselines:
-            raise ReportError(f"no baseline precision for classifier {key[0]} at level {key[1]}")
-        base = baselines[key]
+        base = baselines.get((row.classifier, row.scenario.level))
         value = row.precision
         delta = None if value is None or base is None else value - base
         table.append(

@@ -344,7 +344,7 @@ def test_report_csv_matches_run_json(finished_run, tmp_path):
         assert [[None if v is None else v for v in row] for row in stored] == cells
 
 
-def test_report_csv_without_baseline_writes_nothing(tmp_path, capsys):
+def test_report_csv_without_baseline_writes_every_file(tmp_path):
     config = experiment_config()
     config["modes"] = ["omit", "only"]
     cfg = tmp_path / "exp.json"
@@ -352,11 +352,16 @@ def test_report_csv_without_baseline_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     dest = tmp_path / "rendered"
-    dest.mkdir()
-    capsys.readouterr()
-    assert main(["report", str(out), "--format", "csv", "--out", str(dest)]) == 3
-    assert "baseline" in capsys.readouterr().err
-    assert list(dest.iterdir()) == []
+    assert main(["report", str(out), "--format", "csv", "--out", str(dest)]) == 0
+    assert sorted(p.name for p in dest.iterdir()) == [
+        "heatmap-forest-omit-attack.csv",
+        "heatmap-forest-only-attack.csv",
+        "precision.csv",
+    ]
+    header, *rows = (dest / "precision.csv").read_text().splitlines()
+    assert header == "classifier,scenario,level,precision,baseline_precision,delta"
+    assert len(rows) == 4  # two omit and two only scenarios
+    assert all(row.endswith(",n/a,n/a") for row in rows)
 
 
 def test_report_svg_files(finished_run, tmp_path):

@@ -193,6 +193,14 @@ def test_dataset_rejects_zero_rows():
         Dataset(schema, np.zeros((0, 2)), empty, flat_taxonomy([1]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_refuses_non_finite_features(bad):
+    schema = FeatureSchema(feature_names=("f0", "f1"), feature_kinds=("numeric", "numeric"))
+    X = np.array([[1.0, 2.0], [3.0, bad]])
+    with pytest.raises(DatasetError, match="feature column 1 holds a non-finite value"):
+        Dataset(schema, X, np.array([0, 1], dtype=np.int64), flat_taxonomy([1]))
+
+
 # -- parsing ----------------------------------------------------------------
 
 
@@ -435,6 +443,18 @@ PARSE_CORPUS = {
     ),
     "nan-then-unparseable": (
         "f0,attack_type\nnan,0\nx,1\n", None, "line 3: column 'f0': unparseable numeric value 'x'"
+    ),
+    # a blank sends the column through the median, which the non-finite cell
+    # joins; the walk still names that cell's line
+    "blank-and-inf": (
+        "f0,attack_type\n,0\ninf,1\n2,0\n",
+        None,
+        "line 3: column 'f0': non-finite numeric value inf",
+    ),
+    "blank-and-nan": (
+        "f0,attack_type\n1,0\n,1\nnan,0\n",
+        None,
+        "line 4: column 'f0': non-finite numeric value nan",
     ),
     # categoricals, quoted cells and CRLF, with and without blank cells
     "well-formed-no-blanks": (

@@ -13,7 +13,6 @@ from iidsbench.classifiers.forest import (
     train_random_forest,
 )
 from iidsbench.dataset import rank_columns
-from iidsbench.errors import DatasetError
 
 
 def train_on(hyper, rows, y, seed, X):
@@ -341,13 +340,6 @@ def test_rank_dtype_widens_past_65535(distinct, dtype):
     assert ranks.dtype == dtype
     assert ranks[0, -1] == 0  # 0.0 ranks below every value
     assert (ranks[0, :-1] == np.arange(1, distinct + 1)).all()
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_rank_columns_refuses_non_finite(bad):
-    X = np.array([[1.0, 2.0], [3.0, bad]])
-    with pytest.raises(DatasetError, match="feature column 1 holds a non-finite value"):
-        rank_columns(X)
 
 
 def test_split_over_a_70000_value_column_matches_reference():

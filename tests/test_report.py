@@ -204,10 +204,13 @@ def test_precision_report_undefined_entries():
     assert "n/a" in text
 
 
-def test_precision_report_requires_baseline():
+def test_precision_report_without_baseline_reads_na():
     artifact = FakeArtifact([prec_row(ScenarioSpec("omit", "attack", 1), 0.9)])
-    with pytest.raises(ReportError, match="baseline"):
-        precision_report(artifact)
+    table = precision_report(artifact)
+    assert [(r["precision"], r["baseline_precision"], r["delta"]) for r in table] == [
+        (0.9, None, None)
+    ]
+    assert precision_report_csv(table).splitlines()[1] == "c,omit-attack-1,attack,0.9,n/a,n/a"
 
 
 # -- exact CSV text ----------------------------------------------------------
